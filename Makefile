@@ -23,7 +23,8 @@ bench-regression:
 	PYTHONPATH=src python scripts/bench_engine.py --quick --out BENCH_fresh.json
 	PYTHONPATH=src python scripts/check_bench_regression.py BENCH_fresh.json --baseline BENCH_engine.json
 
-# Blocking CI gate: cached trace.npz / trace.rle entries stay in budget.
+# Blocking CI gate: cached trace.rle entries (both the full and the rle
+# trace policy write this one format) stay within the 96 KiB RLE budget.
 check-cache-budget:
 	PYTHONPATH=src python scripts/check_cache_budget.py
 

@@ -52,7 +52,7 @@ def main() -> None:
     names = ", ".join(s.name.split("/")[-1] for s in hot) or "none"
     print(f"threads earning >30% of their CPU time on big cores: {names}\n")
 
-    with tempfile.NamedTemporaryFile(suffix=".npz", delete=False) as f:
+    with tempfile.NamedTemporaryFile(suffix=".trace", delete=False) as f:
         path = f.name
     save_trace(trace, path)
     reloaded = load_trace(path)

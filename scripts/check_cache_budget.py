@@ -2,11 +2,12 @@
 """CI gate: cached trace entries must stay within their size budgets.
 
 Runs a small smoke sweep (two short app runs, one idle-heavy synthetic
-run) under both the dense and the RLE trace policies into a throwaway
-cache, then asserts that every ``trace.npz`` / ``trace.rle`` entry is
-under budget.  A regression here means the columnar formats stopped
+run) under both the dense (``full``) and the ``rle`` trace policies into
+a throwaway cache, then asserts that every ``trace.rle`` entry is under
+budget.  Both policies store the same single trace file format, so one
+budget covers both.  A regression here means the format stopped
 compressing — e.g. a new trace column defeats the piecewise-constant
-assumption, or someone switched the npz writer off compression — which
+assumption, or someone switched the body's zlib compression off — which
 would quietly balloon every user's ``~/.cache/repro-runner``.
 
 Exit status: 0 when all entries fit, 1 otherwise (CI runs this
@@ -25,10 +26,9 @@ import tempfile
 
 from repro.runner import BatchRunner, ResultCache, RunSpec
 
-#: Per-entry budgets.  The smoke traces are ~216 KB dense (4 s app run)
-#: and ~3.2 MB dense (60 s idle-heavy); compressed/encoded entries that
-#: approach these limits have lost an order of magnitude of headroom.
-NPZ_BUDGET_BYTES = 256 * 1024
+#: Per-entry budget.  The smoke traces are ~216 KB dense (4 s app run)
+#: and ~3.2 MB dense (60 s idle-heavy); encoded entries that approach
+#: this limit have lost an order of magnitude of headroom.
 RLE_BUDGET_BYTES = 96 * 1024
 
 SMOKE_SECONDS = 4.0
@@ -52,10 +52,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="cache-budget-") as root:
         cache = ResultCache(root=root)
         runner = BatchRunner(workers=1, cache=cache)
-        for policy, filename, budget in [
-            ("full", ResultCache.TRACE_FILE, NPZ_BUDGET_BYTES),
-            ("rle", ResultCache.RLE_TRACE_FILE, RLE_BUDGET_BYTES),
-        ]:
+        filename, budget = ResultCache.RLE_TRACE_FILE, RLE_BUDGET_BYTES
+        for policy in ("full", "rle"):
             specs = smoke_specs(policy)
             report = runner.run(specs)
             report.raise_on_failure()

@@ -3,9 +3,9 @@
 Framing: every message is ``>II`` (big-endian header-length,
 blob-length) followed by a UTF-8 JSON header and an optional raw binary
 blob.  JSON keeps the control plane dependency-free and debuggable; the
-blob segment carries RLE trace payloads verbatim (numpy ``npz`` bytes,
-identical to a ``trace.rle`` cache file) so binary data never pays
-base64 inflation.
+blob segment carries RLE trace payloads verbatim (the single
+:mod:`repro.sim.traceio` file format, byte-identical to a ``trace.rle``
+cache file) so binary data never pays base64 inflation.
 
 Message types (``header["type"]``):
 
@@ -111,7 +111,7 @@ def encode_results(results: list[RunResult]) -> tuple[list[dict[str, Any]], byte
     """Encode a job's results as (per-result metadata, concatenated blob).
 
     Each result contributes its JSON scalars plus, for an ``rle``-policy
-    result, its RLE npz bytes in the shared blob (``blob_len`` in the
+    result, its trace file bytes in the shared blob (``blob_len`` in the
     metadata delimits each slice).  Dense traces are a protocol error —
     admission should have refused the spec.
     """

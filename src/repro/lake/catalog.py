@@ -100,7 +100,7 @@ class CatalogEntry:
     scheduler: str
     seed: int
     trace_policy: str
-    #: ``"rle"``, ``"npz"``, or ``None`` — which trace file the entry holds.
+    #: ``"rle"`` when the entry holds a ``trace.rle`` file, else ``None``.
     trace_format: Optional[str]
     reductions: tuple[str, ...] = ()
     observe: bool = False
@@ -224,8 +224,6 @@ def _entry_trace_format(entry_dir: str) -> tuple[Optional[str], int]:
                 nbytes += item.stat().st_size
                 if item.name == "trace.rle":
                     trace_format = "rle"
-                elif item.name == "trace.npz" and trace_format is None:
-                    trace_format = "npz"
     except OSError:
         pass
     return trace_format, nbytes

@@ -255,11 +255,12 @@ def dense_migrations(trace: Trace) -> dict[str, int]:
 def _fsum_runs(values: np.ndarray, lengths: np.ndarray) -> float:
     """Exactly-rounded sum of an RLE row's per-tick values.
 
-    ``float(v) * int(l)`` is exact in float64 for float32 values and any
-    realistic run length (< 2^29 ticks), so :func:`math.fsum` over the
-    per-run products equals :func:`math.fsum` over the inflated ticks.
+    Each per-run product ``value * length`` is exact in float64 for
+    float32 values and any realistic run length (< 2^29 ticks), so
+    :func:`math.fsum` over the vectorized per-run products equals
+    :func:`math.fsum` over the inflated ticks.
     """
-    return fsum(float(v) * int(l) for v, l in zip(values, lengths))
+    return fsum((values.astype(np.float64) * lengths).tolist())
 
 
 def cluster_energy(rle: RLETrace) -> dict[str, float]:

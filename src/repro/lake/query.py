@@ -35,11 +35,15 @@ Aggregate specs:
 ``energy``
     per-cluster and system energy (mJ), :func:`math.fsum`-combined.
 
-Kernel aggregates need a stored trace.  RLE entries feed the kernels
-directly (``LazyTrace.rle`` — never inflated); dense ``.npz`` entries
-are re-encoded in memory via :meth:`RLETrace.from_trace`; entries with
-no trace (``trace_policy="none"``) are skipped and counted in
-``lake.query.skipped_no_trace``.
+Kernel aggregates need a stored trace.  Every stored trace is one
+``trace.rle`` file in the single :mod:`repro.sim.traceio` format —
+whatever the entry's trace policy — so each entry costs one read and
+one ``zlib`` decompress, and its runs feed the kernels directly
+(``LazyTrace.rle`` — never inflated).  Entries with no trace
+(``trace_policy="none"``) are skipped and counted in
+``lake.query.skipped_no_trace``; so are entries whose trace file cannot
+be decoded (traces written before 1.3.0 in an older format, corrupt
+files), which also count in ``lake.query.unreadable``.
 """
 
 from __future__ import annotations
@@ -57,11 +61,14 @@ from repro.lake.kernels import (
     migrations,
     residency_counts,
 )
+from repro.obs.logsetup import get_logger
 from repro.obs.metrics import global_metrics
 from repro.platform.coretypes import CoreType
-from repro.sim.traceio import LazyTrace, RLETrace, load_trace_lazy
+from repro.sim.traceio import RLETrace, load_trace_lazy
 
 __all__ = ["LakeQuery", "QueryResult", "SCALAR_AGGS", "KERNEL_AGGS"]
+
+log = get_logger("lake.query")
 
 SCALAR_AGGS = ("count", "mean", "sum", "min", "max")
 KERNEL_AGGS = (
@@ -72,23 +79,24 @@ KERNEL_AGGS = (
 
 
 def _entry_rle(entry: CatalogEntry, root: str) -> Optional[RLETrace]:
-    """The entry's trace in RLE form, or ``None`` if it stored no trace.
+    """The entry's trace in RLE form, or ``None`` if none can be read.
 
-    RLE files never inflate (the lazy proxy hands over its payload);
-    dense ``.npz`` files are *encoded* — ``RLETrace.from_trace`` reads
-    the stored arrays but builds run-lengths, it does not count as a
-    materialization (nothing RLE existed to densify).
+    Never inflates: the lazy proxy hands over its run-length payload.
+    A trace file that cannot be decoded — one written by a release
+    before 1.3.0 in an older format, a corrupt file, or an entry evicted
+    since the catalog listed it — is treated as no trace and counted in
+    ``lake.query.unreadable``, so one bad entry never aborts a query or
+    a cross-version diff.
     """
-    entry_dir = os.path.join(root, entry.version, entry.spec_key)
-    if entry.trace_format == "rle":
-        trace = load_trace_lazy(os.path.join(entry_dir, "trace.rle"))
-        assert isinstance(trace, LazyTrace)
-        return trace.rle
-    if entry.trace_format == "npz":
-        from repro.sim.traceio import load_trace
-
-        return RLETrace.from_trace(load_trace(os.path.join(entry_dir, "trace.npz")))
-    return None
+    if entry.trace_format != "rle":
+        return None
+    path = os.path.join(root, entry.version, entry.spec_key, "trace.rle")
+    try:
+        return load_trace_lazy(path).rle
+    except (OSError, ValueError) as exc:
+        log.warning("lake: skipping unreadable trace %s: %s", path, exc)
+        global_metrics().counter("lake.query.unreadable").inc()
+        return None
 
 
 class _KernelAcc:
@@ -215,7 +223,7 @@ class QueryResult:
         text = render_table(headers, table_rows, title=title, float_fmt="{:.3f}")
         if self.skipped_no_trace:
             text += (
-                f"\n({self.skipped_no_trace} entries without a stored trace "
+                f"\n({self.skipped_no_trace} entries without a readable stored trace "
                 "skipped by kernel aggregates)"
             )
         return text

@@ -61,8 +61,6 @@ def _metric_deltas(
 
 
 def _big_residency(entry: CatalogEntry, root: str) -> Optional[dict[int, float]]:
-    if entry.trace_format != "rle":
-        return None
     rle = _entry_rle(entry, root)
     if rle is None:
         return None

@@ -355,10 +355,13 @@ def attach_collector(bus: EventBus, collector: Optional[MetricsCollector] = None
 #:   ``cache.bytes_loaded`` / ``cache.hits`` / ``cache.misses`` — the
 #:   on-disk result cache's footprint and traffic,
 #: - ``cache.corrupt`` — unreadable entries found (and evicted) on load,
-#: - ``trace.materializations`` — every ``RLETrace.to_trace`` call; the
-#:   lake asserts its queries keep this flat (no densification),
+#: - ``trace.materializations`` — every ``RLETrace.to_trace`` call,
+#:   including each cache hit on a trace stored under a dense trace
+#:   policy (``full``/``shm``), which is inflated on load; the lake
+#:   asserts its queries keep this flat (no densification),
 #: - ``lake.*`` — trace-lake activity: ``lake.queries`` /
-#:   ``lake.query.entries`` / ``lake.query.skipped_no_trace``,
+#:   ``lake.query.entries`` / ``lake.query.skipped_no_trace`` /
+#:   ``lake.query.unreadable`` (trace files that could not be decoded),
 #:   ``lake.kernel_runs`` + ``lake.kernel.<name>``, ``lake.diffs``,
 #:   ``lake.catalog.appends`` / ``append_errors`` / ``rebuilds`` /
 #:   ``skipped_lines``, ``lake.bench.ingests`` / ``dup_ingests``.

@@ -5,13 +5,14 @@ Layout: ``<root>/<repro.__version__>/<spec_key>/`` holding
 - ``result.json`` — the spec manifest plus the scalar metrics and any
   in-worker reduction payloads (serialized through
   :func:`repro.experiments.serialize.to_jsonable`),
-- ``trace.npz`` — the dense simulation trace via
-  :mod:`repro.sim.traceio`, **or**
-- ``trace.rle`` — the run-length-encoded columnar form, written when
-  the result carries a :class:`~repro.sim.traceio.LazyTrace` (the
-  ``"rle"`` trace policy); loaded back lazily, so a cache hit costs
-  only the compressed read until someone touches the dense arrays.
-  Entries with no trace file simply had none (``trace_policy="none"``).
+- ``trace.rle`` — the simulation trace in the single
+  :mod:`repro.sim.traceio` file format (run-length encoded, one zlib
+  body).  ``"rle"``-policy entries load back as a
+  :class:`~repro.sim.traceio.LazyTrace`, so a hit costs one read and
+  one decompress until someone touches the dense arrays; every other
+  policy's entries are inflated to the dense :class:`Trace` they were
+  stored from.  Entries with no trace file simply had none
+  (``trace_policy="none"``).
 
 Every ``store``/``evict`` also appends a record to the lake catalog
 (``<root>/catalog.jsonl``, see :mod:`repro.lake.catalog`), keeping the
@@ -19,10 +20,13 @@ cross-run index current without a scan; the append is best-effort and a
 stale catalog is always rebuildable from the entries themselves.
 
 Keying by spec hash *and* package version means a version bump
-invalidates every entry wholesale — simulation semantics may have
-changed — without touching older versions' entries.  Writes go through
-a temp directory + atomic rename, so a killed run never leaves a
-half-written entry that a later run would trust.
+invalidates every entry wholesale — simulation semantics (or the trace
+file format) may have changed — without touching older versions'
+entries.  Writes go through a temp directory + atomic rename, so a
+killed run never leaves a half-written entry that a later run would
+trust.  Entries are content-addressed, so they are published once and
+never overwritten: a writer that finds the entry already published
+drops its own copy.
 
 Every instance keeps a :class:`CacheStats` tally (hits, misses, bytes
 in either direction) and mirrors it into the process-global metrics
@@ -39,19 +43,12 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from typing import Optional
-from zipfile import BadZipFile
 
 import repro
 from repro.obs.logsetup import get_logger
 from repro.obs.metrics import TRANSPORT_BUCKETS_BYTES, global_metrics
 from repro.runner.spec import RunResult, RunSpec
-from repro.sim.traceio import (
-    LazyTrace,
-    load_trace,
-    load_trace_lazy,
-    save_trace,
-    save_trace_rle,
-)
+from repro.sim.traceio import load_trace_lazy, save_trace_rle
 
 #: Environment override for the cache root (tests, CI, shared scratch).
 CACHE_DIR_ENV = "REPRO_RUNNER_CACHE"
@@ -108,7 +105,6 @@ class ResultCache:
     """Spec-keyed persistent store of :class:`RunResult` objects."""
 
     RESULT_FILE = "result.json"
-    TRACE_FILE = "trace.npz"
     RLE_TRACE_FILE = "trace.rle"
 
     def __init__(self, root: Optional[str] = None, version: Optional[str] = None):
@@ -132,7 +128,7 @@ class ResultCache:
         A torn write or bit-rotted file used to report a *silent* miss,
         leaving the entry in place to fail identically on every future
         lookup.  Now it is logged, counted (``cache.corrupt``), and
-        evicted — the subsequent re-run overwrites it with a good entry.
+        evicted — the subsequent re-run publishes a good entry in its place.
         """
         entry = self.entry_dir(spec)
         log.warning("evicting corrupt cache entry %s: %s", entry, reason)
@@ -147,9 +143,10 @@ class ResultCache:
         cannot be read back (torn ``result.json``, truncated trace file,
         scalar-schema mismatch) is corrupt — it is evicted with a
         warning and a ``cache.corrupt`` count, then reported as a miss
-        so the batch re-runs the simulation.  An RLE-stored trace comes
-        back as a :class:`~repro.sim.traceio.LazyTrace`; dense inflation
-        is deferred until first array access.
+        so the batch re-runs the simulation.  An ``"rle"``-policy trace
+        comes back as a :class:`~repro.sim.traceio.LazyTrace` (dense
+        inflation deferred until first array access); any other policy's
+        trace comes back dense.
         """
         entry = self.entry_dir(spec)
         path = os.path.join(entry, self.RESULT_FILE)
@@ -167,17 +164,13 @@ class ResultCache:
             self._corrupt(spec, f"{self.RESULT_FILE} has no result mapping")
             return None
         trace = None
-        rle_path = os.path.join(entry, self.RLE_TRACE_FILE)
-        trace_path = os.path.join(entry, self.TRACE_FILE)
+        trace_path = os.path.join(entry, self.RLE_TRACE_FILE)
         try:
-            if os.path.isfile(rle_path):
-                trace = load_trace_lazy(rle_path)
-            elif os.path.isfile(trace_path):
-                trace = load_trace(trace_path)
-        except (OSError, ValueError, KeyError, EOFError, BadZipFile) as exc:
-            # numpy's npz reader surfaces truncation as BadZipFile or
-            # EOFError rather than OSError, depending on where the file
-            # was cut.
+            if os.path.isfile(trace_path):
+                trace = load_trace_lazy(trace_path)
+                if spec.trace_policy != "rle":
+                    trace = trace.rle.to_trace()
+        except (OSError, ValueError) as exc:
             self._corrupt(spec, f"unreadable trace file ({exc})")
             return None
         try:
@@ -197,7 +190,13 @@ class ResultCache:
         """Persist ``result`` under ``spec``'s key; returns the entry dir.
 
         A :class:`~repro.sim.traceio.LazyTrace` is written in its RLE
-        form directly — storing a compressed result never inflates it.
+        form directly — storing a compressed result never inflates it;
+        a dense trace is encoded to the same file format.
+
+        Publish-once: an entry that already exists is never replaced or
+        deleted here (a concurrent reader may be loading it).  If another
+        writer published the key first, this write is discarded and
+        counted in ``cache.store_races`` — same key, same content.
         """
         entry = self.entry_dir(spec)
         parent = os.path.dirname(entry)
@@ -211,21 +210,14 @@ class ResultCache:
             }
             with open(os.path.join(tmp, self.RESULT_FILE), "w") as f:
                 json.dump(payload, f, indent=2, sort_keys=True)
-            if isinstance(result.trace, LazyTrace):
+            if result.trace is not None:
                 save_trace_rle(result.trace, os.path.join(tmp, self.RLE_TRACE_FILE))
-            elif result.trace is not None:
-                save_trace(result.trace, os.path.join(tmp, self.TRACE_FILE))
             written = _dir_nbytes(tmp)
-            if os.path.isdir(entry):
-                shutil.rmtree(entry, ignore_errors=True)
             try:
-                os.replace(tmp, entry)
+                # Renaming onto a published (never empty) entry fails with
+                # ENOTEMPTY or EEXIST, so it is never replaced.
+                os.rename(tmp, entry)
             except OSError:
-                # Concurrent writer: another process published this entry
-                # between our rmtree and replace (directory-over-directory
-                # rename fails with ENOTEMPTY).  Both writers hold results
-                # for the same spec key, so losing the race is benign —
-                # keep theirs, discard ours.
                 if not os.path.isdir(entry):
                     raise
                 shutil.rmtree(tmp, ignore_errors=True)
@@ -250,10 +242,23 @@ class ResultCache:
         return Catalog(root=self.root)
 
     def evict(self, spec: RunSpec) -> None:
+        """Remove ``spec``'s entry, if any.
+
+        The entry is first renamed out of place — atomically unpublished,
+        so readers and writers see it whole or not at all — and only then
+        deleted.
+        """
         entry = self.entry_dir(spec)
-        if os.path.isdir(entry):
-            shutil.rmtree(entry)
-            self._catalog().append_evict(self.version, spec.key())
+        if not os.path.isdir(entry):
+            return
+        doomed = tempfile.mkdtemp(prefix=".tmp-", dir=os.path.dirname(entry))
+        try:
+            os.rename(entry, os.path.join(doomed, "entry"))
+        except OSError:
+            return  # a concurrent evict got there first
+        finally:
+            shutil.rmtree(doomed, ignore_errors=True)
+        self._catalog().append_evict(self.version, spec.key())
 
     # -- garbage collection -------------------------------------------------
 

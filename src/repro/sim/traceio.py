@@ -4,29 +4,40 @@ Traces are the interface between simulation and analysis; persisting
 them lets expensive runs be archived, diffed across code versions, and
 analyzed offline (all of :mod:`repro.core` works on loaded traces).
 
-Two on-disk formats share one loader:
+There is one on-disk format (version 4), also used verbatim as the
+distributed protocol's trace blob.  Every column is run-length encoded:
+the fast-forward engine produces long piecewise-constant spans, so the
+freq/power/idle columns collapse to (value, run-length) pairs.  A file
+is three parts:
 
-- **dense** (format version 2): a single ``.npz`` holding the raw
-  busy/frequency/power arrays plus a small JSON-encoded header with
-  core metadata;
-- **RLE** (format version 3): the same columns run-length encoded.
-  The fast-forward engine produces long piecewise-constant spans, so
-  freq/power/idle columns collapse to (value, run-length) pairs at a
-  fraction of the dense size.  Decoding is bit-exact: values are stored
-  in their native dtypes and inflated with :func:`numpy.repeat`, so a
-  dense→RLE→dense round trip reproduces every byte.
+1. a fixed prefix — magic bytes, format version, header length
+   (``<8sHI``);
+2. a small JSON header — core types, enabled flags, ``tick_s``,
+   ``n_ticks`` and, per column, its value dtype plus its value, length
+   and row counts;
+3. one zlib-compressed body holding every column's contiguous
+   little-endian ``values`` (in the column's dtype) and int32
+   ``lengths``/``row_splits`` arrays, in canonical column order.
 
-:func:`load_trace` dispatches on the header version and always returns
-a dense :class:`Trace`; :func:`load_trace_lazy` returns a
-:class:`LazyTrace` proxy for RLE files, deferring inflation until the
-first array access.  Paths may be ``str`` or any :class:`os.PathLike`.
+A load is one read, one :func:`zlib.decompress` (whose adler32 is the
+integrity check) and :func:`numpy.frombuffer` views (run lengths and
+row splits are widened to int64), followed by
+:meth:`RLETrace.validate`.  Any decode failure raises
+``ValueError("corrupt trace file ...")``.  Decoding is bit-exact:
+values keep their native dtypes and inflate with :func:`numpy.repeat`.
+
+:func:`load_trace` always returns a dense :class:`Trace`;
+:func:`load_trace_lazy` returns a :class:`LazyTrace` proxy that defers
+inflation until the first dense array access.  Paths may be ``str`` or
+any :class:`os.PathLike`.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
+import struct
+import zlib
 from dataclasses import dataclass
 from typing import Union
 
@@ -35,13 +46,21 @@ import numpy as np
 from repro.platform.coretypes import CoreType
 from repro.sim.trace import Trace
 
-FORMAT_VERSION = 2  # dense; v2 added per-cluster CPU power and wakeup counts
-RLE_FORMAT_VERSION = 3  # run-length-encoded columnar format
+#: v2 was a dense ``.npz``, v3 an ``.npz`` of RLE columns; v4 is the
+#: single-file layout described above.
+RLE_FORMAT_VERSION = 4
+
+_MAGIC = b"BLTRACE\x00"
+_PREFIX = struct.Struct("<8sHI")  # magic, format version, header length
+#: On-disk dtype of run lengths and row splits (both bounded by
+#: ``n_ticks``); widened to int64 on load.
+_INDEX = np.dtype("<i4")
+#: zlib level: 6 (the default) compresses ~1.7x slower for ~2% less size.
+_ZLIB_LEVEL = 5
 
 PathArg = Union[str, "os.PathLike[str]"]
 
-#: The trace columns in canonical order: (name, rows) where ``rows`` is
-#: ``None`` for 1-D columns and the source of the row count otherwise.
+#: The trace columns in canonical (file body) order.
 _COLUMNS = ("busy", "freq", "power", "cpu_power", "wakeups")
 
 
@@ -192,10 +211,14 @@ class RLETrace:
                     f"lengths disagree"
                 )
             if len(col.row_splits) != expected_rows[name]:
+                expected = (
+                    f"the header names {expected_rows[name]} cores"
+                    if name == "busy"
+                    else f"{expected_rows[name]} were expected"
+                )
                 raise ValueError(
                     f"corrupt trace file {path}: {name} has "
-                    f"{len(col.row_splits)} rows but {expected_rows[name]} "
-                    f"were expected"
+                    f"{len(col.row_splits)} rows but {expected}"
                 )
             if np.any(col.lengths <= 0):
                 raise ValueError(
@@ -210,7 +233,8 @@ class RLETrace:
                 stop = start + int(n_runs)
                 ticks = int(col.lengths[start:stop].sum())
                 if ticks != self.n_ticks:
-                    bad[f"{name}[{r}]"] = ticks
+                    key = f"{name}[{r}]" if expected_rows[name] > 1 else name
+                    bad[key] = ticks
                 start = stop
         if bad:
             detail = ", ".join(f"{k}={v}" for k, v in sorted(bad.items()))
@@ -316,208 +340,153 @@ class LazyTrace:
 # ---------------------------------------------------------------------------
 
 
-def _header(trace: Union[Trace, LazyTrace, RLETrace], version: int) -> dict:
-    return {
-        "version": version,
-        "core_types": [t.value for t in trace.core_types],
-        "enabled": list(trace.enabled),
-        "tick_s": trace.tick_s,
-    }
-
-
-def _write_npz(path: str, arrays: dict[str, np.ndarray]) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    # Write through a file object: np.savez would otherwise append
-    # ``.npz`` to extensionless paths such as the cache's ``trace.rle``.
-    with open(path, "wb") as f:
-        np.savez_compressed(f, **arrays)
-
-
-def save_trace(trace: Trace, path: PathArg) -> None:
-    """Write ``trace`` to ``path`` in the dense ``.npz`` format."""
-    path = os.fspath(path)
-    header = _header(trace, FORMAT_VERSION)
-    _write_npz(path, {
-        "header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        "busy": trace.busy,
-        "freq": np.stack([
-            trace.freq_khz(CoreType.LITTLE),
-            trace.freq_khz(CoreType.BIG),
-        ]),
-        "power": trace.power_mw,
-        "cpu_power": np.stack([
-            trace.cpu_power_mw(CoreType.LITTLE),
-            trace.cpu_power_mw(CoreType.BIG),
-        ]),
-        "wakeups": trace.wakeups,
-    })
-
-
-def _rle_arrays(trace: Union[Trace, LazyTrace, RLETrace]) -> dict[str, np.ndarray]:
-    """The npz array dict of ``trace``'s RLE form (shared by file/bytes)."""
+def _as_rle(trace: Union[Trace, LazyTrace, RLETrace]) -> RLETrace:
     if isinstance(trace, LazyTrace):
-        rle = trace.rle
-    elif isinstance(trace, RLETrace):
-        rle = trace
-    else:
-        rle = RLETrace.from_trace(trace)
-    header = _header(rle, RLE_FORMAT_VERSION)
-    header["n_ticks"] = rle.n_ticks
-    arrays = {
-        "header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-    }
-    for name in _COLUMNS:
-        col = rle.columns[name]
-        arrays[f"{name}_values"] = col.values
-        arrays[f"{name}_lengths"] = col.lengths
-        arrays[f"{name}_splits"] = col.row_splits
-    return arrays
+        return trace.rle
+    if isinstance(trace, RLETrace):
+        return trace
+    return RLETrace.from_trace(trace)
 
 
-def save_trace_rle(trace: Union[Trace, LazyTrace, RLETrace], path: PathArg) -> None:
-    """Write ``trace`` to ``path`` in the run-length-encoded format.
+def trace_rle_to_bytes(trace: Union[Trace, LazyTrace, RLETrace]) -> bytes:
+    """The file bytes of ``trace`` — also the distributed protocol's blob.
 
     Accepts a dense :class:`Trace` (encoded here), a :class:`LazyTrace`
     (its payload is written without inflating), or a raw
     :class:`RLETrace`.
     """
-    _write_npz(os.fspath(path), _rle_arrays(trace))
+    rle = _as_rle(trace)
+    if rle.n_ticks > np.iinfo(_INDEX).max:
+        raise ValueError(f"{rle.n_ticks} ticks exceed the trace file format")
+    columns = {}
+    chunks = []
+    for name in _COLUMNS:
+        col = rle.columns[name]
+        values = col.values.astype(col.values.dtype.newbyteorder("<"), copy=False)
+        columns[name] = {
+            "dtype": values.dtype.str,
+            "values": len(values),
+            "lengths": len(col.lengths),
+            "rows": len(col.row_splits),
+        }
+        chunks += [
+            values.tobytes(),
+            col.lengths.astype(_INDEX, copy=False).tobytes(),
+            col.row_splits.astype(_INDEX, copy=False).tobytes(),
+        ]
+    header = json.dumps({
+        "core_types": [t.value for t in rle.core_types],
+        "enabled": list(rle.enabled),
+        "tick_s": rle.tick_s,
+        "n_ticks": rle.n_ticks,
+        "columns": columns,
+    }).encode()
+    return b"".join((
+        _PREFIX.pack(_MAGIC, RLE_FORMAT_VERSION, len(header)),
+        header,
+        zlib.compress(b"".join(chunks), _ZLIB_LEVEL),
+    ))
 
 
-def trace_rle_to_bytes(trace: Union[Trace, LazyTrace, RLETrace]) -> bytes:
-    """The RLE npz byte form of ``trace`` — same format as ``trace.rle``
-    cache files, but in memory (the distributed protocol's trace blob)."""
-    buf = io.BytesIO()
-    np.savez_compressed(buf, **_rle_arrays(trace))
-    return buf.getvalue()
-
-
-def load_trace_rle_bytes(data: bytes) -> LazyTrace:
-    """Inverse of :func:`trace_rle_to_bytes`; validates like file loads."""
-    with np.load(io.BytesIO(data)) as arrays:
-        header = _load_header("<bytes>", arrays)
-        if header.get("version") != RLE_FORMAT_VERSION:
-            raise ValueError(
-                f"expected RLE format v{RLE_FORMAT_VERSION}, "
-                f"got {header.get('version')!r}"
-            )
-        return LazyTrace(_load_rle("<bytes>", arrays, header))
-
-
-def _load_header(path: str, data) -> dict:
-    if "header" not in data:
-        raise ValueError(f"corrupt trace file {path}: missing arrays header")
-    return json.loads(bytes(data["header"].tobytes()).decode())
-
-
-def _load_dense(path: str, data, header: dict) -> Trace:
-    required = ("busy", "freq", "power", "cpu_power", "wakeups")
-    missing = [k for k in required if k not in data]
+def _parse(data: bytes) -> RLETrace:
+    """Decode file bytes; raises plain errors that :func:`_decode` labels."""
+    magic, version, header_len = _PREFIX.unpack_from(data)
+    if magic != _MAGIC:
+        raise ValueError("bad magic bytes (not a trace file)")
+    if version != RLE_FORMAT_VERSION:
+        raise ValueError(f"unsupported trace format version {version!r}")
+    start = _PREFIX.size + header_len
+    if len(data) < start:
+        raise ValueError(f"header needs {start} bytes, file has {len(data)}")
+    header = json.loads(data[_PREFIX.size:start])
+    specs = header["columns"]
+    missing = [name for name in _COLUMNS if name not in specs]
     if missing:
+        raise ValueError(f"missing arrays {', '.join(missing)}")
+    body = zlib.decompress(data[start:])
+    columns = {}
+    offset = 0
+    for name in _COLUMNS:
+        spec = specs[name]
+        dtype = np.dtype(spec["dtype"])
+        if dtype.kind not in "biuf":
+            raise ValueError(f"{name} has unsupported dtype {dtype}")
+        parts = []
+        for part_dtype, count in ((dtype, spec["values"]), (_INDEX, spec["lengths"]),
+                                  (_INDEX, spec["rows"])):
+            if not isinstance(count, int) or count < 0:
+                raise ValueError(f"{name} has invalid run count {count!r}")
+            parts.append(np.frombuffer(body, part_dtype, count, offset))
+            offset += count * part_dtype.itemsize
+        values, lengths, row_splits = parts
+        columns[name] = RLEColumn(
+            values, lengths.astype(np.int64), row_splits.astype(np.int64)
+        )
+    if offset != len(body):
         raise ValueError(
-            f"corrupt trace file {path}: missing arrays {', '.join(missing)}"
+            f"body holds {len(body)} bytes but the header describes {offset}"
         )
-    busy = np.array(data["busy"], dtype=np.float32)
-    freq = np.array(data["freq"], dtype=np.int32)
-    power = np.array(data["power"], dtype=np.float32)
-    cpu_power = np.array(data["cpu_power"], dtype=np.float32)
-    wakeups = np.array(data["wakeups"], dtype=np.int16)
-
-    core_types = [CoreType(v) for v in header["core_types"]]
-    if busy.ndim != 2 or busy.shape[0] != len(core_types):
-        raise ValueError(
-            f"corrupt trace file {path}: busy has shape {busy.shape} but the "
-            f"header names {len(core_types)} cores"
-        )
-    n_ticks = busy.shape[1]
-    lengths = {
-        "freq": freq.shape[1] if freq.ndim == 2 else -1,
-        "power": power.shape[0] if power.ndim == 1 else -1,
-        "cpu_power": cpu_power.shape[1] if cpu_power.ndim == 2 else -1,
-        "wakeups": wakeups.shape[0] if wakeups.ndim == 1 else -1,
-    }
-    bad = {k: v for k, v in lengths.items() if v != n_ticks}
-    if bad:
-        detail = ", ".join(f"{k}={v}" for k, v in sorted(bad.items()))
-        raise ValueError(
-            f"corrupt trace file {path}: busy records {n_ticks} ticks but "
-            f"{detail} (tick counts must match across all arrays)"
-        )
-    trace = Trace(core_types, list(header["enabled"]), max_ticks=max(1, n_ticks))
-    trace._busy[:, :n_ticks] = busy
-    trace._freq[:, :n_ticks] = freq
-    trace._power[:n_ticks] = power
-    trace._cpu_power[:, :n_ticks] = cpu_power
-    trace._wakeups[:n_ticks] = wakeups
-    trace._len = n_ticks
-    trace.finalize()
-    return trace
-
-
-def _load_rle(path: str, data, header: dict) -> RLETrace:
-    required = [
-        f"{name}_{part}"
-        for name in _COLUMNS
-        for part in ("values", "lengths", "splits")
-    ]
-    missing = [k for k in required if k not in data]
-    if missing:
-        raise ValueError(
-            f"corrupt trace file {path}: missing arrays {', '.join(missing)}"
-        )
-    columns = {
-        name: RLEColumn(
-            values=np.array(data[f"{name}_values"]),
-            lengths=np.array(data[f"{name}_lengths"], dtype=np.int64),
-            row_splits=np.array(data[f"{name}_splits"], dtype=np.int64),
-        )
-        for name in _COLUMNS
-    }
-    rle = RLETrace(
+    return RLETrace(
         core_types=[CoreType(v) for v in header["core_types"]],
         enabled=list(header["enabled"]),
-        tick_s=header["tick_s"],
+        tick_s=float(header["tick_s"]),
         n_ticks=int(header["n_ticks"]),
         columns=columns,
     )
+
+
+def _decode(data: bytes, path: str) -> RLETrace:
+    try:
+        rle = _parse(data)
+    except KeyError as exc:
+        raise ValueError(
+            f"corrupt trace file {path}: header has no field {exc}"
+        ) from exc
+    except (ValueError, TypeError, struct.error, zlib.error) as exc:
+        raise ValueError(f"corrupt trace file {path}: {exc}") from exc
     rle.validate(path)
     return rle
 
 
-def _load(path: PathArg) -> Union[Trace, RLETrace]:
+def load_trace_rle_bytes(data: bytes) -> LazyTrace:
+    """Inverse of :func:`trace_rle_to_bytes`; validates like file loads."""
+    return LazyTrace(_decode(data, "<bytes>"))
+
+
+def save_trace_rle(trace: Union[Trace, LazyTrace, RLETrace], path: PathArg) -> None:
+    """Write ``trace`` to ``path`` (see :func:`trace_rle_to_bytes`)."""
     path = os.fspath(path)
-    with np.load(path) as data:
-        header = _load_header(path, data)
-        version = header.get("version")
-        if version == FORMAT_VERSION:
-            return _load_dense(path, data, header)
-        if version == RLE_FORMAT_VERSION:
-            return _load_rle(path, data, header)
-        raise ValueError(
-            f"unsupported trace format version {version!r} in {path}"
-        )
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "wb") as f:
+        f.write(trace_rle_to_bytes(trace))
+
+
+#: Dense traces are saved in the same single format.
+save_trace = save_trace_rle
+
+
+def _read(path: PathArg) -> RLETrace:
+    path = os.fspath(path)
+    with open(path, "rb") as f:
+        return _decode(f.read(), path)
 
 
 def load_trace(path: PathArg) -> Trace:
-    """Load a trace written by :func:`save_trace` or :func:`save_trace_rle`.
+    """Load a trace file and inflate it to a dense :class:`Trace`.
 
-    Always returns a dense :class:`Trace` (RLE files are inflated
-    eagerly).  Raises :class:`ValueError` on format-version mismatch, on
-    a missing array, or when the arrays disagree on tick count or core
-    count — a truncated or hand-edited file fails loudly here instead of
-    producing shifted analyses downstream.
+    Raises :class:`ValueError` on a bad magic or format version, on a
+    truncated or bit-flipped body, on a missing column, or when the
+    columns disagree on tick count or core count — a damaged or
+    hand-edited file fails loudly here instead of producing shifted
+    analyses downstream.
     """
-    loaded = _load(path)
-    return loaded.to_trace() if isinstance(loaded, RLETrace) else loaded
+    return _read(path).to_trace()
 
 
-def load_trace_lazy(path: PathArg) -> Union[Trace, LazyTrace]:
-    """Like :func:`load_trace`, but RLE files return a :class:`LazyTrace`.
+def load_trace_lazy(path: PathArg) -> LazyTrace:
+    """Like :func:`load_trace`, but returns an uninflated :class:`LazyTrace`.
 
     The proxy costs run-count memory until an analysis touches the dense
-    arrays — the cache hit-load fast path for consumers that only read
-    scalars or precomputed reductions.
+    arrays — the cache hit-load and lake query fast path.
     """
-    loaded = _load(path)
-    return LazyTrace(loaded) if isinstance(loaded, RLETrace) else loaded
+    return LazyTrace(_read(path))

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 import repro
@@ -279,6 +280,73 @@ class TestDiffVersions:
         assert payload["common_specs"] == 1
         assert payload["changed"] == []
         assert payload["unchanged"] == 1
+
+
+class TestPreviousFormatEntries:
+    """Entries written before 1.3.0 hold traces the lake cannot decode.
+
+    The lake reads every version directory under the cache root, so an
+    upgraded cache mixes old-format ``trace.rle`` files (an ``.npz``
+    container) with current ones.  They are skipped, not fatal.
+    """
+
+    OLD = "1.2.0"
+
+    @pytest.fixture()
+    def upgraded_root(self, tmp_path):
+        root = str(tmp_path)
+        spec = RunSpec("video-player", seed=3, max_seconds=1.0, trace_policy="rle")
+        result = execute_spec(spec)
+        old_entry = ResultCache(root=root, version=self.OLD).store(spec, result)
+        ResultCache(root=root).store(spec, result)
+        old_trace = os.path.join(old_entry, ResultCache.RLE_TRACE_FILE)
+        os.remove(old_trace)
+        with open(old_trace, "wb") as fh:
+            np.savez_compressed(fh, version=np.int32(3), n_ticks=np.int64(10))
+        return root
+
+    @pytest.mark.parametrize("rebuild", [False, True])
+    def test_kernel_query_skips_old_trace(self, upgraded_root, rebuild):
+        reg = reset_global_metrics()
+        catalog = Catalog(root=upgraded_root)
+        if rebuild:
+            catalog.rebuild()
+        query = LakeQuery(catalog).group_by("workload").agg(
+            "count", "freq_hist:little", "residency:big"
+        )
+        result = query.run()
+        (row,) = result.rows
+        assert row["count"] == 2
+        assert result.skipped_no_trace == 1
+        # The current-version trace alone answers the kernel aggregates.
+        (current,) = query.where(version=repro.__version__).run().rows
+        assert row["freq_hist:little"] == current["freq_hist:little"] != {}
+        assert row["residency:big"] == current["residency:big"]
+        assert reg.counter("lake.query.unreadable").value == 1
+        assert reg.counter("trace.materializations").value == 0
+
+    def test_diff_across_format_change(self, upgraded_root):
+        reg = reset_global_metrics()
+        payload = diff_versions(
+            Catalog(root=upgraded_root), self.OLD, repro.__version__
+        )
+        assert payload["common_specs"] == 1
+        assert payload["changed"] == []  # same scalars; residency unknown
+        assert payload["unchanged"] == 1
+        assert reg.counter("lake.query.unreadable").value == 1
+
+    def test_cli_query_and_diff(self, upgraded_root, capsys):
+        rc = main([
+            "lake", "query", "--cache-dir", upgraded_root,
+            "--group-by", "workload", "--agg", "residency:big",
+        ])
+        assert rc == 0
+        assert "without a readable stored trace" in capsys.readouterr().out
+        rc = main([
+            "lake", "diff", self.OLD, repro.__version__,
+            "--cache-dir", upgraded_root,
+        ])
+        assert rc == 0
 
 
 class TestBenchHistory:

@@ -10,12 +10,13 @@ from repro.platform.coretypes import CoreType
 from repro.sim.engine import SimConfig, Simulator
 from repro.sim.traceio import load_trace, save_trace
 from repro.workloads.replay import LoadTraceApp, validate_segments
+from tests.traceformat import rewrite
 
 
 class TestTraceIO:
     def test_roundtrip_preserves_arrays(self, tmp_path):
         run = run_app("video-player", seed=3, max_seconds=2.0)
-        path = str(tmp_path / "trace.npz")
+        path = str(tmp_path / "trace.rle")
         save_trace(run.trace, path)
         loaded = load_trace(path)
         np.testing.assert_array_equal(loaded.busy, run.trace.busy)
@@ -28,24 +29,17 @@ class TestTraceIO:
 
     def test_analyses_identical_on_loaded_trace(self, tmp_path):
         run = run_app("video-player", seed=3, max_seconds=2.0)
-        path = str(tmp_path / "trace.npz")
+        path = str(tmp_path / "trace.rle")
         save_trace(run.trace, path)
         loaded = load_trace(path)
         assert tlp_stats(loaded) == tlp_stats(run.trace)
 
     def test_version_check(self, tmp_path):
-        import json
-
         run = run_app("video-player", seed=3, max_seconds=1.0)
-        path = str(tmp_path / "trace.npz")
+        path = str(tmp_path / "trace.rle")
         save_trace(run.trace, path)
         # Corrupt the version field.
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        header = json.loads(bytes(arrays["header"].tobytes()).decode())
-        header["version"] = 99
-        arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
+        rewrite(path, lambda parts: parts.update(version=99))
         with pytest.raises(ValueError):
             load_trace(path)
 
@@ -134,7 +128,7 @@ class TestTraceIOValidation:
 
     def test_accepts_pathlike(self, tmp_path):
         trace = self._small_trace()
-        path = tmp_path / "tr.npz"  # pathlib.Path, not str
+        path = tmp_path / "tr.trace"  # pathlib.Path, not str
         save_trace(trace, path)
         loaded = load_trace(path)
         np.testing.assert_array_equal(loaded.busy, trace.busy)
@@ -142,30 +136,37 @@ class TestTraceIOValidation:
 
     def test_truncated_array_rejected(self, tmp_path):
         trace = self._small_trace()
-        path = tmp_path / "tr.npz"
+        path = tmp_path / "tr.trace"
         save_trace(trace, path)
-        data = dict(np.load(path))
-        data["power"] = data["power"][:3]
-        np.savez_compressed(str(path), **data)
+
+        def truncate(parts):  # power is five one-tick runs: keep three
+            parts["power_values"] = parts["power_values"][:3]
+            parts["power_lengths"] = parts["power_lengths"][:3]
+            parts["power_splits"] = np.array([3])
+
+        rewrite(path, truncate)
         with pytest.raises(ValueError, match="power=3"):
             load_trace(path)
 
     def test_missing_array_rejected(self, tmp_path):
         trace = self._small_trace()
-        path = tmp_path / "tr.npz"
+        path = tmp_path / "tr.trace"
         save_trace(trace, path)
-        data = dict(np.load(path))
-        del data["wakeups"]
-        np.savez_compressed(str(path), **data)
+        rewrite(path, lambda parts: parts.pop("wakeups_values"))
         with pytest.raises(ValueError, match="missing arrays wakeups"):
             load_trace(path)
 
     def test_core_count_mismatch_rejected(self, tmp_path):
         trace = self._small_trace()
-        path = tmp_path / "tr.npz"
+        path = tmp_path / "tr.trace"
         save_trace(trace, path)
-        data = dict(np.load(path))
-        data["busy"] = data["busy"][:1]  # one core, header says two
-        np.savez_compressed(str(path), **data)
+
+        def drop_core(parts):  # one core, header says two
+            n_runs = int(parts["busy_splits"][0])
+            parts["busy_values"] = parts["busy_values"][:n_runs]
+            parts["busy_lengths"] = parts["busy_lengths"][:n_runs]
+            parts["busy_splits"] = parts["busy_splits"][:1]
+
+        rewrite(path, drop_core)
         with pytest.raises(ValueError, match="header names 2 cores"):
             load_trace(path)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import json
+import os
 import pickle
+import zlib
 
 import numpy as np
 import pytest
@@ -11,6 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.study import run_app
+from repro.obs.metrics import global_metrics
+from repro.platform.coretypes import CoreType
+from repro.runner.cache import ResultCache
+from repro.runner.spec import RunSpec, execute_spec
 from repro.sim.trace import Trace
 from repro.sim.traceio import (
     LazyTrace,
@@ -19,10 +24,13 @@ from repro.sim.traceio import (
     RLETrace,
     load_trace,
     load_trace_lazy,
+    load_trace_rle_bytes,
     rle_decode,
     rle_encode,
     save_trace_rle,
+    trace_rle_to_bytes,
 )
+from tests.traceformat import PREFIX, decode_parts, encode_parts, rewrite
 
 
 # -- rle_encode / rle_decode properties --------------------------------------
@@ -113,8 +121,6 @@ def real_trace() -> Trace:
 
 
 def assert_traces_equal(a: Trace, b: Trace) -> None:
-    from repro.platform.coretypes import CoreType
-
     assert len(a) == len(b)
     assert a.tick_s == b.tick_s
     assert a.core_types == b.core_types
@@ -133,7 +139,7 @@ def test_rletrace_roundtrip_bit_exact(real_trace):
 
 
 def test_save_load_rle_file_roundtrip(tmp_path, real_trace):
-    # Extensionless path on purpose: np.savez must not append ".npz".
+    # Extensionless on purpose: the file is written exactly where asked.
     path = tmp_path / "trace.rle"
     save_trace_rle(real_trace, path)
     assert path.is_file()
@@ -167,16 +173,63 @@ def test_lazytrace_pickles_as_rle_only(real_trace):
     assert_traces_equal(restored.materialize(), real_trace)
 
 
+# -- file bytes == wire bytes, bit-exact for every dtype ----------------------
+
+
+@st.composite
+def rle_traces(draw):
+    """Small RLE traces with a drawn dtype and run structure per column."""
+    n_ticks = draw(st.integers(min_value=1, max_value=60))
+    core_types = [CoreType.LITTLE, CoreType.BIG]
+
+    def column(rows):
+        dtype = draw(st.sampled_from([np.float32, np.float64, np.int16, np.int32]))
+
+        def row():
+            values = draw(run_values)
+            lengths = draw(st.lists(
+                st.integers(1, 20), min_size=len(values), max_size=len(values),
+            ))
+            dense = np.repeat(np.asarray(values, dtype=dtype), lengths)
+            return np.resize(dense, n_ticks)
+
+        return RLEColumn.encode(np.stack([row() for _ in range(rows)]))
+
+    return RLETrace(
+        core_types=core_types,
+        enabled=[True, draw(st.booleans())],
+        tick_s=draw(st.sampled_from([0.001, 0.01, 0.02])),
+        n_ticks=n_ticks,
+        columns={
+            "busy": column(2), "freq": column(2), "power": column(1),
+            "cpu_power": column(2), "wakeups": column(1),
+        },
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(rle_traces())
+def test_file_bytes_equal_wire_bytes_and_roundtrip_bit_exact(
+    tmp_path_factory, rle
+):
+    path = tmp_path_factory.mktemp("wire") / "trace.rle"
+    save_trace_rle(rle, path)
+    wire = trace_rle_to_bytes(rle)
+    assert path.read_bytes() == wire
+    for loaded in (load_trace_rle_bytes(wire).rle, load_trace_lazy(path).rle):
+        assert loaded.n_ticks == rle.n_ticks
+        assert loaded.tick_s == rle.tick_s
+        assert loaded.core_types == rle.core_types
+        assert loaded.enabled == rle.enabled
+        for name, col in rle.columns.items():
+            got = loaded.columns[name]
+            assert got.values.dtype == col.values.dtype
+            assert got.values.tobytes() == col.values.tobytes()
+            np.testing.assert_array_equal(got.lengths, col.lengths)
+            np.testing.assert_array_equal(got.row_splits, col.row_splits)
+
+
 # -- corruption: truncated/edited files must fail loudly ---------------------
-
-
-def _rewrite(path, mutate):
-    """Load an RLE npz, apply ``mutate(arrays)``, write it back."""
-    with np.load(path) as data:
-        arrays = {k: np.array(data[k]) for k in data.files}
-    mutate(arrays)
-    with open(path, "wb") as f:
-        np.savez(f, **arrays)
 
 
 @pytest.fixture()
@@ -186,22 +239,19 @@ def rle_path(tmp_path, real_trace):
     return path
 
 
-def _edit_header(arrays, **updates):
-    header = json.loads(bytes(arrays["header"].tobytes()).decode())
-    header.update(updates)
-    arrays["header"] = np.frombuffer(
-        json.dumps(header).encode(), dtype=np.uint8
-    )
+def test_layout_reference_reencodes_byte_identical(rle_path):
+    data = rle_path.read_bytes()
+    assert encode_parts(decode_parts(data)) == data
 
 
 def test_unsupported_version_rejected(rle_path):
-    _rewrite(rle_path, lambda a: _edit_header(a, version=99))
+    rewrite(rle_path, lambda a: a.update(version=99))
     with pytest.raises(ValueError, match="unsupported trace format version"):
         load_trace(rle_path)
 
 
 def test_missing_arrays_rejected(rle_path):
-    _rewrite(rle_path, lambda a: a.pop("power_values"))
+    rewrite(rle_path, lambda a: a.pop("power_values"))
     with pytest.raises(ValueError, match="corrupt trace file.*missing arrays"):
         load_trace(rle_path)
 
@@ -212,13 +262,13 @@ def test_truncated_runs_rejected(rle_path):
         arrays["power_lengths"] = arrays["power_lengths"][:-1]
         arrays["power_splits"] = arrays["power_splits"] - 1
 
-    _rewrite(rle_path, truncate)
+    rewrite(rle_path, truncate)
     with pytest.raises(ValueError, match="tick counts must match"):
         load_trace(rle_path)
 
 
 def test_values_lengths_mismatch_rejected(rle_path):
-    _rewrite(rle_path, lambda a: a.update(
+    rewrite(rle_path, lambda a: a.update(
         busy_lengths=a["busy_lengths"][:-1]
     ))
     with pytest.raises(ValueError, match="values and.*lengths disagree"):
@@ -232,7 +282,7 @@ def test_nonpositive_lengths_rejected(rle_path):
         # keep the total consistent-looking so only the sign check fires
         lengths[-1] += 0
 
-    _rewrite(rle_path, zero_out)
+    rewrite(rle_path, zero_out)
     with pytest.raises(ValueError, match="non-positive run lengths"):
         load_trace(rle_path)
 
@@ -242,10 +292,89 @@ def test_wrong_row_count_rejected(rle_path):
         # One merged row: runs still sum up, but the row count is wrong.
         arrays["freq_splits"] = np.array([arrays["freq_splits"].sum()])
 
-    _rewrite(rle_path, drop_row)
+    rewrite(rle_path, drop_row)
     with pytest.raises(ValueError, match="rows but"):
         load_trace(rle_path)
 
 
+def _bad_magic(path):
+    data = path.read_bytes()
+    path.write_bytes(b"NOTATRCE" + data[8:])
+
+
+def _truncated(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _flipped_body_byte(path):
+    data = bytearray(path.read_bytes())
+    data[-len(data) // 4] ^= 0x40  # well inside the compressed body
+    path.write_bytes(bytes(data))
+
+
+def _short_body(path):
+    # Decompresses cleanly but holds fewer bytes than the header describes.
+    data = path.read_bytes()
+    _, _, header_len = PREFIX.unpack_from(data)
+    start = PREFIX.size + header_len
+    body = zlib.decompress(data[start:])
+    path.write_bytes(data[:start] + zlib.compress(body[:-8]))
+
+
+def _unknown_dtype(path):
+    rewrite(path, lambda a: a.update(
+        power_values=a["power_values"].astype("complex64")
+    ))
+
+
+FILE_CORRUPTIONS = {
+    "bad-magic": _bad_magic,
+    "truncated-file": _truncated,
+    "flipped-body-byte": _flipped_body_byte,
+    "short-body": _short_body,
+    "unknown-dtype": _unknown_dtype,
+}
+
+
+@pytest.mark.parametrize("corrupt", FILE_CORRUPTIONS.values(), ids=FILE_CORRUPTIONS)
+def test_damaged_file_rejected(rle_path, corrupt):
+    corrupt(rle_path)
+    with pytest.raises(ValueError, match="corrupt trace file"):
+        load_trace(rle_path)
+    with pytest.raises(ValueError, match="corrupt trace file <bytes>"):
+        load_trace_rle_bytes(rle_path.read_bytes())
+
+
+@pytest.mark.parametrize("policy", ["rle", "full"])
+@pytest.mark.parametrize("corrupt", FILE_CORRUPTIONS.values(), ids=FILE_CORRUPTIONS)
+def test_damaged_cache_trace_is_evicted_and_counted(tmp_path, corrupt, policy):
+    cache = ResultCache(root=str(tmp_path))
+    spec = RunSpec("video-player", chip="exynos5422", seed=3, max_seconds=1.0,
+                   trace_policy=policy)
+    cache.store(spec, execute_spec(spec))
+    corrupt_before = global_metrics().counter("cache.corrupt").value
+    corrupt(tmp_path / cache.version / spec.key() / ResultCache.RLE_TRACE_FILE)
+    assert cache.load(spec) is None
+    assert not os.path.isdir(cache.entry_dir(spec))
+    assert global_metrics().counter("cache.corrupt").value == corrupt_before + 1
+
+
+def test_full_policy_cache_hit_is_dense(tmp_path):
+    cache = ResultCache(root=str(tmp_path))
+    spec = RunSpec("video-player", chip="exynos5422", seed=3, max_seconds=1.0)
+    cache.store(spec, execute_spec(spec))
+    loaded = cache.load(spec)
+    assert type(loaded.trace) is Trace
+    assert_traces_equal(loaded.trace, execute_spec(spec).trace)
+
+
+def test_tick_count_beyond_format_rejected_on_save(real_trace):
+    rle = RLETrace.from_trace(real_trace)
+    rle.n_ticks = 2**31
+    with pytest.raises(ValueError, match="exceed the trace file format"):
+        trace_rle_to_bytes(rle)
+
+
 def test_header_records_version():
-    assert RLE_FORMAT_VERSION == 3
+    assert RLE_FORMAT_VERSION == 4
