@@ -24,10 +24,11 @@ Scenario families:
   three trace policies (``full`` / ``rle`` / ``none``), measuring the
   result pipeline itself — worker→parent bytes, cache footprint, warm
   reload, peak worker RSS — rather than the tick engine.
-- *sweep-lockstep*: a 64-variant interactive-governor sweep executed
-  per-run vs as one lockstep cohort through the batched engine
-  (``repro.sim.batchengine``) with witness-certified sweep folding
-  (``repro.runner.sweepfold``), cross-checked for identical scalars.
+- *sweep-lockstep* (name kept for history continuity): a 64-variant
+  interactive-governor sweep executed per-run vs as one fold group —
+  witness-certified representatives on the scalar engine, every covered
+  variant copied (``repro.runner.sweepfold``) — cross-checked for
+  identical scalars.
 - *sweep-distributed*: the same 64-variant sweep executed through 4
   localhost ``biglittle worker`` TCP subprocesses vs the serial per-run
   runner, cross-checked against the local process-pool backend, plus a
@@ -266,7 +267,7 @@ def bench_batch_transport(quick: bool, sim_seconds: float | None = None):
 
 
 # ---------------------------------------------------------------------------
-# sweep-lockstep scenario: batched lockstep engine vs per-run execution
+# sweep-lockstep scenario: sweep folding on the scalar engine vs per-run
 # ---------------------------------------------------------------------------
 
 _SWEEP_VARIANTS = 64
@@ -280,11 +281,11 @@ def _sweep_specs(sim_seconds: float):
 
     # A 64-variant interactive-governor sweep of one app: hold_ms
     # (the governor's min_sample_time, explore's ``gov_hold_ms`` axis)
-    # at 2 ms resolution around the 80 ms baseline.  Every variant
-    # shares the workload, chip, and horizon, so the grid forms one
-    # lockstep cohort — and hold_ms is comparison-only, so the sweep
-    # folds onto witness-certified class representatives
-    # (:mod:`repro.runner.sweepfold`) on top of lockstep execution.
+    # at 2 ms resolution around the 80 ms baseline.  hold_ms is
+    # comparison-only and every variant shares the workload, chip, and
+    # horizon, so the grid forms one fold group whose members fold onto
+    # witness-certified class representatives
+    # (:mod:`repro.runner.sweepfold`).
     base = baseline_config()
     specs = []
     for hold in range(34, 34 + 2 * _SWEEP_VARIANTS, 2):
@@ -304,13 +305,15 @@ def _sweep_specs(sim_seconds: float):
 
 
 def bench_sweep_lockstep(quick: bool):
-    """Time a 64-variant sweep per-run vs through one lockstep cohort.
+    """Time a 64-variant sweep per-run vs as one fold group.
 
     Both passes use a serial single-worker runner with no cache, so the
-    comparison isolates the batch engine itself: per-run pays the full
-    per-variant tick loop; batched advances all variants in one
-    ``BatchSimulator``.  Scalars are cross-checked so the speedup is
-    only reported for bit-identical results.
+    comparison isolates sweep folding: per-run simulates every variant;
+    the folded pass simulates representatives on the scalar engine and
+    copies each result to the variants its witness covers.  Scalars are
+    cross-checked so the speedup is only reported for bit-identical
+    results.  The ``batched_*`` keys keep their historical names (they
+    time the folded pass) so ``bench_history.jsonl`` stays comparable.
     """
     from repro.runner import BatchRunner
 
@@ -323,12 +326,12 @@ def bench_sweep_lockstep(quick: bool):
     per_run_s = time.monotonic() - t0
 
     t0 = time.monotonic()
-    batched = BatchRunner(workers=1, cohorts=True).run(specs)
-    batched.raise_on_failure()
+    folded = BatchRunner(workers=1, cohorts=True).run(specs)
+    folded.raise_on_failure()
     batched_s = time.monotonic() - t0
 
     mismatches = sum(
-        1 for a, b in zip(per_run.results, batched.results)
+        1 for a, b in zip(per_run.results, folded.results)
         if a.scalars() != b.scalars()
     )
     n = len(specs)
@@ -357,9 +360,9 @@ def bench_sweep_distributed(quick: bool):
     Workers are spawned as real ``biglittle worker`` subprocesses
     (``--no-cache``, so every execution is a genuine simulation) before
     the clock starts; the serial baseline is the per-run single-worker
-    runner.  The distributed pass ships the sweep as one lockstep
-    cohort — cohorts travel whole, so the speedup is lockstep+folding
-    minus wire overhead, not parallelism.  Results are cross-checked
+    runner.  The distributed pass ships the sweep as one fold group —
+    fold groups travel whole, so the speedup is folding minus wire
+    overhead, not parallelism.  Results are cross-checked
     against the local process-pool backend, and a second, *concurrent
     duplicate* submission of the whole sweep from two runners sharing
     the coordinator checks global dedup: it must add exactly one more
@@ -415,7 +418,7 @@ def bench_sweep_distributed(quick: bool):
         )
 
         # Concurrent duplicate sweep: two runners, one coordinator, one
-        # execution.  Each runner submits its (identical) cohort group
+        # execution.  Each runner submits its (identical) fold group
         # up-front, so the second attaches to the first's in-flight job.
         before = coord.stats()
         reports: list = [None, None]
@@ -693,11 +696,12 @@ def main(argv=None) -> int:
               f"{row['peak_worker_rss_kb'] / 1024:>8.0f}")
 
     sweep = bench_sweep_lockstep(args.quick)
-    print(f"\nsweep-lockstep ({sweep['n_variants']} variants x "
+    print(f"\nsweep-lockstep, fold-on-scalar vs per-run "
+          f"({sweep['n_variants']} variants x "
           f"{sweep['sim_seconds']:.0f}s sim, serial runner): "
           f"per-run {sweep['per_run_wall_s']:.2f}s "
           f"({sweep['per_run_variants_per_sec']:.1f} var/s), "
-          f"batched {sweep['batched_wall_s']:.2f}s "
+          f"folded {sweep['batched_wall_s']:.2f}s "
           f"({sweep['batched_variants_per_sec']:.1f} var/s), "
           f"speedup {sweep['speedup']:.2f}x, "
           f"mismatches {sweep['scalar_mismatches']}")

@@ -9,13 +9,13 @@ job, ships it, and waits for the result while watching heartbeats and
 the job's deadline.
 
 The unit of distribution is the runner's execution group — a single
-spec or a whole lockstep cohort.  Cohorts deliberately travel whole:
-splitting a fold family across workers forfeits the witness-certified
-sweep folding that makes cohorts fast (measured: a 64-variant fold
-sweep runs ~5.7× faster as one cohort than as four 16-spec shards).
+spec or a whole fold group of governor-sweep variants.  Fold groups
+deliberately travel whole: splitting a family across workers forfeits
+the witness-certified sweep folding, which resolves most members of a
+fine-grained sweep without simulating them.
 
 Global dedup: a job whose dedup key (single spec's content key, or the
-hash of a cohort's member keys) is already **in flight** attaches to
+hash of a fold group's member keys) is already **in flight** attaches to
 the existing job as a subscriber — two runners submitting the same
 sweep concurrently execute it exactly once (``dist.dedup_*`` counters).
 A spec already **cached** anywhere is caught either by the submitting
@@ -92,7 +92,7 @@ def job_key(specs: Sequence[RunSpec]) -> str:
     """The global dedup key of one execution group.
 
     A single spec dedups by its content key (+ the coordinator-enforced
-    package version); a cohort by the hash of its member keys — the
+    package version); a fold group by the hash of its member keys — the
     group executes as one unit, so identity is the ordered member list.
     """
     if len(specs) == 1:

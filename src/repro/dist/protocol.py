@@ -93,7 +93,9 @@ def recv_frame(sock: socket.socket) -> tuple[dict[str, Any], bytes]:
         )
     try:
         header = json.loads(_recv_exactly(sock, json_len).decode())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8 and bad JSON; RecursionError a
+        # header nested deeper than the decoder's recursion limit.
         raise ProtocolError(f"undecodable frame header: {exc}") from None
     if not isinstance(header, dict) or "type" not in header:
         raise ProtocolError(f"frame header is not a typed mapping: {header!r}")
@@ -139,14 +141,28 @@ def encode_results(results: list[RunResult]) -> tuple[list[dict[str, Any]], byte
 def decode_results(
     metas: list[dict[str, Any]], blob: bytes
 ) -> list[RunResult]:
-    """Inverse of :func:`encode_results`."""
+    """Inverse of :func:`encode_results`.
+
+    Blob lengths that do not tile ``blob`` exactly, and trace slices
+    that do not decode, raise :class:`ProtocolError`.
+    """
     results: list[RunResult] = []
     offset = 0
     for meta in metas:
         n = int(meta["blob_len"])
+        if n < 0 or offset + n > len(blob):
+            raise ProtocolError(
+                f"result blob slice [{offset}, {offset + n}) outside the "
+                f"{len(blob)}-byte blob"
+            )
         trace: Optional[LazyTrace] = None
         if meta["trace"] == "rle":
-            trace = load_trace_rle_bytes(blob[offset : offset + n])
+            try:
+                trace = load_trace_rle_bytes(blob[offset : offset + n])
+            except ValueError as exc:
+                raise ProtocolError(
+                    f"undecodable result trace: {exc}"
+                ) from None
         offset += n
         results.append(RunResult(trace=trace, **meta["scalars"]))
     if offset != len(blob):

@@ -2,11 +2,11 @@
 
 A worker dials the coordinator, introduces itself (id + package
 version), and then serves jobs until told ``bye`` or the connection
-drops: decode the wire specs, execute them — a whole lockstep cohort
+drops: decode the wire specs, execute them — a whole fold group
 through :func:`repro.runner.cohort.execute_cohort`, a single spec
-through :func:`repro.runner.spec.execute_spec` — under the same
-``SIGALRM`` budget the local backends use, and ship the slim results
-back (scalars + RLE blobs).
+through :func:`repro.runner.spec.execute_spec` — with the same job
+entry points and ``SIGALRM`` budgets the local backends use, and ship
+the slim results back (scalars + RLE blobs).
 
 Shared-store dedup, worker side: before executing, the worker consults
 its **local** :class:`~repro.runner.cache.ResultCache` (same spec hash
@@ -34,8 +34,12 @@ from typing import Optional
 import repro
 from repro.obs.logsetup import get_logger
 from repro.runner.cache import ResultCache
-from repro.runner.executors import JobTimeout, _alarmed
-from repro.runner.spec import RunSpec, execute_spec, spec_from_wire
+from repro.runner.executors import (
+    JobTimeout,
+    _execute_cohort_job,
+    _execute_job,
+)
+from repro.runner.spec import RunSpec, spec_from_wire
 from repro.dist.protocol import (
     ProtocolError,
     encode_results,
@@ -137,16 +141,9 @@ class DistWorker:
             if all(r is not None for r in cached):
                 return cached, len(cached)
         if len(specs) > 1:
-            from repro.runner.cohort import execute_cohort
-
-            budget = timeout_s * len(specs) if timeout_s else timeout_s
-            label = f"cohort[{len(specs)}] {specs[0].label()}"
-            results = _alarmed(lambda: execute_cohort(specs), budget, label)
+            results = _execute_cohort_job(specs, timeout_s)
         else:
-            spec = specs[0]
-            results = [
-                _alarmed(lambda: execute_spec(spec), timeout_s, spec.label())
-            ]
+            results = [_execute_job(specs[0], timeout_s)]
         if self.cache is not None:
             for spec, result in zip(specs, results):
                 self.cache.store(spec, result)

@@ -19,6 +19,15 @@ The residency and transition numbers are, by construction, consistent
 with the run's :class:`~repro.sim.trace.Trace` frequency columns —
 ``tests/test_obs_metrics.py`` replays the events against the arrays to
 prove it.
+
+The process-wide registry (:func:`global_metrics`) also carries runner
+counters.  The fold-group executor (:mod:`repro.runner.cohort`) counts
+``engine.batch.lanes`` — every spec a fold group resolved, simulated or
+folded — plus ``engine.batch.fold.representatives`` (specs simulated
+with a witness) and ``engine.batch.fold.folded`` (specs resolved by
+copying a representative's result).  The per-lane tick counters
+``engine.batch.vector_ticks`` / ``engine.batch.scalar_ticks`` of the
+removed lockstep engine no longer exist and read as 0.
 """
 
 from __future__ import annotations

@@ -31,15 +31,18 @@ Fault tolerance (identical across backends):
   as ``failed``/``timeout`` in the :class:`BatchReport` — one bad job
   never aborts the batch.
 
-Lockstep cohorts (``cohorts=True``): compatible specs — same workload,
-chip, core config, and horizon — are grouped and advanced together by
-one :class:`repro.sim.batchengine.BatchSimulator` per group.  A cohort
-is also the unit an executor receives (one pool job / one distributed
-job per cohort), because splitting a fold family forfeits the sweep
-folding that makes cohorts fast.  Results, ``BatchReport.jobs`` order
-and labels, and cache entries are identical to per-run execution; any
-cohort failure falls back to per-run execution of its members with
-their retry budgets intact.
+Fold groups (``cohorts=True``): specs identical except for the two
+comparison-only governor axes (``down_threshold`` / ``hold_ms``) are
+grouped into one job per fold family and run by
+:func:`repro.runner.cohort.execute_cohort`, which simulates
+witness-certified representatives on the scalar engine and copies
+their results to every member a witness covers.  A fold group is the
+unit an executor receives (one pool job / one distributed job), because
+splitting a family forfeits folding; every other spec — and every
+member of a family too small to fold — stays an ordinary per-spec job.
+Results, ``BatchReport.jobs`` order and labels, and cache entries are
+identical to per-run execution; any fold-group failure falls back to
+per-run execution of its members with their retry budgets intact.
 """
 
 from __future__ import annotations
@@ -242,13 +245,13 @@ class BatchRunner:
             recorded as failed.
         on_event: callback receiving every :class:`RunnerEvent`.
         log_path: append structured events to this JSONL file.
-        cohorts: group compatible specs (same workload/chip/cores/
-            horizon — see :func:`repro.runner.cohort.cohort_key`) into
-            lockstep :class:`~repro.sim.batchengine.BatchSimulator`
-            cohorts.  Results, report order, and cache entries are
-            identical to per-run execution; a failing cohort falls back
-            to per-run for its members.  ``REPRO_ENGINE_BATCHED=0``
-            disables grouping regardless of this flag.
+        cohorts: group governor-sweep variants into fold groups (see
+            :func:`repro.runner.cohort.group_indices`) so that
+            witness-certified representatives stand in for the members
+            they cover; families too small to fold run per spec.
+            Results, report order, and cache entries are identical to
+            per-run execution; a failing fold group falls back to
+            per-run for its members.
         executor: execution backend override — an
             :class:`~repro.runner.executors.Executor` instance (shared;
             the runner will not close it), ``"serial"``, ``"pool"``, or
@@ -344,7 +347,7 @@ class BatchRunner:
                     else:
                         pending.append(_Job(index=i, spec=spec))
 
-                groups = self._group_pending(pending, sink, executor)
+                groups = self._group_pending(pending, sink)
                 if groups:
                     self._drive(groups, executor, results, records, sink)
 
@@ -381,34 +384,32 @@ class BatchRunner:
         assert result is not None
         return result
 
-    # -- cohort grouping ----------------------------------------------------
+    # -- fold grouping ------------------------------------------------------
 
     def _group_pending(
-        self, pending: Sequence[_Job], sink: EventSink, executor: Executor
+        self, pending: Sequence[_Job], sink: EventSink
     ) -> list[list[_Job]]:
         """Partition pending jobs into execution groups.
 
-        Singleton groups everywhere unless cohort mode is on (and not
-        pinned off via ``REPRO_ENGINE_BATCHED``, and the executor can
-        take whole cohorts); grouping preserves submit order within
-        each cohort, and records/results stay keyed by the original
-        spec index either way.
+        Singleton groups everywhere unless fold grouping is on.  A fold
+        family becomes one group only if it is larger than one round of
+        representatives (:data:`~repro.runner.cohort.FOLD_ROUND_REPS`):
+        a smaller family simulates every member in its first round, so
+        running it as one job would fold nothing and only serialise
+        its members.  A fold group keeps its members in submit order,
+        and records/results stay keyed by the original spec index
+        either way.
         """
-        from repro.sim.batchengine import batching_enabled
-
-        if not (
-            self.cohorts
-            and batching_enabled()
-            and executor.supports_cohorts
-            and len(pending) > 1
-        ):
+        if not self.cohorts or len(pending) < 2:
             return [[job] for job in pending]
-        from repro.runner.cohort import group_indices
+        from repro.runner.cohort import FOLD_ROUND_REPS, group_indices
 
-        groups = [
-            [pending[i] for i in member_indices]
-            for member_indices in group_indices([job.spec for job in pending])
-        ]
+        groups: list[list[_Job]] = []
+        for members in group_indices([job.spec for job in pending]):
+            if len(members) > FOLD_ROUND_REPS:
+                groups.append([pending[i] for i in members])
+            else:
+                groups.extend([pending[i]] for i in members)
         for group in groups:
             if len(group) > 1:
                 sink.emit(
@@ -424,9 +425,9 @@ class BatchRunner:
     def _cohort_fallback(
         self, group: Sequence[_Job], exc: BaseException, sink: EventSink
     ) -> list[list[_Job]]:
-        """A cohort failed: emit the event, return per-run fallback groups.
+        """A fold group failed: emit the event, return per-run fallback groups.
 
-        Cohort attempts are not charged against the members' retry
+        Fold-group attempts are not charged against the members' retry
         budgets — the fallback *is* the graceful-degradation path, so
         each member still gets its full per-run attempt allowance.
         """
@@ -530,7 +531,7 @@ class BatchRunner:
         sink: EventSink,
         transported: bool,
     ) -> None:
-        """Record a successful group completion (cohort list or single result)."""
+        """Record a successful group completion (fold-group list or one result)."""
         if len(group) > 1:
             for job, result in zip(group, payload):
                 job.attempts += 1
@@ -556,9 +557,9 @@ class BatchRunner:
 
         Attempt accounting is the historical contract: single-spec
         groups are charged one attempt **at submit** (so a worker death
-        consumes a retry), cohorts on successful completion only — a
-        failing cohort falls back to per-run groups with its members'
-        retry budgets untouched.
+        consumes a retry), fold groups on successful completion only —
+        a failing fold group falls back to per-run groups with its
+        members' retry budgets untouched.
         """
         next_token = 0
         inflight: dict[int, Sequence[_Job]] = {}

@@ -1,193 +1,143 @@
-"""Lockstep-cohort execution of compatible :class:`RunSpec` groups.
+"""Fold-group execution of governor sweeps on the scalar engine.
 
-The :class:`~repro.runner.batch.BatchRunner` hands this module groups of
-specs that describe the *same simulation shape* — one workload, chip,
-core configuration, and horizon — differing only in scheduler/governor
-parameters, seeds, or observation.  Each group is prepared with
-:func:`repro.runner.spec.prepare_app_run`, advanced together by one
-:class:`repro.sim.batchengine.BatchSimulator`, and finished through the
-exact per-spec tail (:func:`finish_app_run` + :func:`finalize_result`)
-a solo run would have used, so results — and therefore cache entries —
-stay per-spec and bit-identical to per-run execution.
+The :class:`~repro.runner.batch.BatchRunner` hands this module *fold
+groups*: specs identical except for the two comparison-only governor
+axes (``down_threshold`` / ``hold_ms``, see
+:mod:`repro.runner.sweepfold`).  Representatives run one after another
+on the ordinary :class:`~repro.sim.engine.Simulator` with a witness
+attached, and every member a witness interval provably covers receives
+a copy of its representative's result instead of a simulation.  Each
+run is finished through the exact per-spec tail
+(:func:`finish_app_run` + :func:`finalize_result`) a solo run uses, so
+results — and therefore cache entries — stay per-spec and bit-identical
+to per-run execution.
 
-Grouping is conservative: only the built-in ``"app"`` kind is
-understood, and the implicit compatibility key covers everything that
-changes the simulation's array shapes or wall-clock horizon.  An
-explicit :attr:`RunSpec.batch_group` further partitions groups without
-ever widening them.
+Grouping exists only for folding: :func:`group_indices` groups by
+:func:`~repro.runner.sweepfold.fold_key` plus
+:attr:`RunSpec.batch_group`, and every other spec stays an ordinary
+per-spec job.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Optional, Sequence
 
+from repro.runner import sweepfold
 from repro.runner.spec import (
     RunResult,
     RunSpec,
+    execute_spec,
     finalize_result,
     finish_app_run,
     prepare_app_run,
 )
 
-#: Largest cohort one ``BatchSimulator`` hosts; bigger groups are
-#: chunked.  Bounds the ``(K, nslots)`` working set and keeps a single
-#: slow lane from serializing too many variants behind it.
-COHORT_MAX = 64
-
-
-def cohort_key(spec: RunSpec) -> Optional[str]:
-    """Compatibility key for lockstep grouping, or ``None`` if ineligible.
-
-    Specs sharing a key may run in one cohort: the key pins everything
-    that shapes the batch arrays (workload task/core counts, chip,
-    enabled cores) and the horizon, while scheduler parameters, seeds,
-    and observation — the things sweeps vary — are free to differ.
-    Per-lane ineligibility (hooks, exotic governors) is *not* checked
-    here; the ``BatchSimulator`` admission step evicts those lanes onto
-    the reference path at zero correctness cost.
-    """
-    if spec.kind != "app":
-        return None
-    chip = spec.chip if isinstance(spec.chip, str) else f"inline:{_chip_hash(spec)}"
-    parts = {
-        "workload": spec.workload,
-        "chip": chip,
-        "core_config": spec.core_config,
-        "max_seconds": spec.max_seconds,
-        "batch_group": spec.batch_group,
-    }
-    return json.dumps(parts, sort_keys=True)
-
-
-def _chip_hash(spec: RunSpec) -> str:
-    """Short content hash of an inline chip (registry ids hash as names)."""
-    from repro.experiments.serialize import to_jsonable
-
-    payload = json.dumps(to_jsonable(spec.chip), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
-
 
 def group_indices(specs: Sequence[RunSpec]) -> list[list[int]]:
-    """Partition spec indices into cohort groups (singletons included).
+    """Partition spec indices into fold groups and singletons.
 
-    Groups keep first-appearance order and each group lists its member
-    indices in submit order; chunks never exceed :data:`COHORT_MAX`.
+    Specs sharing a fold key and a ``batch_group`` form one group;
+    specs that cannot fold (non-app kinds, ``"shm"`` traces) are
+    singletons.  Groups keep first-appearance order and list their
+    members in submit order.
     """
-    by_key: dict[str, list[int]] = {}
-    order: list[list[int]] = []
+    groups: list[list[int]] = []
+    families: dict[tuple[str, Optional[str]], list[int]] = {}
     for i, spec in enumerate(specs):
-        key = cohort_key(spec)
+        key = sweepfold.fold_key(spec)
         if key is None:
-            order.append([i])
+            groups.append([i])
             continue
-        bucket = by_key.get(key)
-        if bucket is None or len(bucket) >= COHORT_MAX:
-            bucket = by_key[key] = []
-            order.append(bucket)
-        bucket.append(i)
-    return order
+        family = families.get((key, spec.batch_group))
+        if family is None:
+            family = families[(key, spec.batch_group)] = []
+            groups.append(family)
+        family.append(i)
+    return groups
 
 
 #: Most representatives launched per fold family per round.  Small
 #: enough that a family with few equivalence classes wastes little work
 #: on same-class duplicates, large enough that a many-class family
 #: converges in a couple of rounds (each round retires at least one
-#: member per family, usually far more).
+#: member per family, usually far more).  A family of at most this many
+#: members cannot fold, so the batch runner runs it per spec.
 FOLD_ROUND_REPS = 8
 
 
 def execute_cohort(specs: Sequence[RunSpec], in_pool: bool = False) -> list[RunResult]:
-    """Run one group of compatible specs in a lockstep cohort.
+    """Run one group of specs, folding governor-sweep variants.
 
     Returns one :class:`RunResult` per spec, in input order, each
     identical to what :func:`repro.runner.spec.execute_spec` would have
-    produced.  Degenerate one-spec groups still go through the batch
-    engine: admission/eviction makes that equivalent to a solo run.
+    produced.
 
     Specs identical except for the two comparison-only governor axes
-    (``down_threshold`` / ``hold_ms``) form *fold families* (see
-    :mod:`repro.runner.sweepfold`): representatives run with a witness
-    attached, and every family member a witness interval provably
-    covers receives a copy of its representative's result instead of a
-    simulation.  Uncovered members become the next round's
-    representatives, so the loop retires at least one member per family
-    per round and the worst case degrades to simulating everything.
+    form *fold families*: representatives run with a witness attached,
+    and every family member a witness interval covers receives a copy
+    of its representative's result.  Uncovered members become the next
+    round's representatives, so the loop retires at least one member
+    per family per round and the worst case degrades to simulating
+    everything.  Specs outside any family run through
+    :func:`~repro.runner.spec.execute_spec`, before the first round.
     """
     from repro.obs.metrics import global_metrics
-    from repro.runner import sweepfold
     from repro.sim.batchengine import BatchSimulator
 
     metrics = global_metrics()
     results: list[Optional[RunResult]] = [None] * len(specs)
 
-    # Partition into fold families (two or more members) and singles.
-    families: dict[str, list[int]] = {}
-    singles: list[int] = []
-    for i, spec in enumerate(specs):
-        key = sweepfold.fold_key(spec)
-        if key is None:
-            singles.append(i)
-        else:
-            families.setdefault(key, []).append(i)
-    for key, members in list(families.items()):
-        if len(members) < 2:
-            singles.extend(members)
-            del families[key]
+    def simulate(i: int) -> Optional[sweepfold.SweepWitness]:
+        # One simulator alive at a time: prepare, run, and finish.
+        prepared = prepare_app_run(specs[i])
+        witness = sweepfold.install_witness(prepared.sim)
+        BatchSimulator([prepared.sim]).run()
+        results[i] = finalize_result(
+            specs[i], finish_app_run(prepared), in_pool=in_pool
+        )
+        return witness
 
-    unresolved = {key: list(members) for key, members in families.items()}
-    first_round = True
-    while True:
-        round_idx: list[int] = list(singles) if first_round else []
-        rep_family: dict[int, str] = {}
-        for key, members in unresolved.items():
+    # Fold families (two or more members) by family number; the rest
+    # are singles that run exactly as a per-spec job would.
+    unresolved: dict[int, list[int]] = {}
+    for members in group_indices(specs):
+        if len(members) > 1:
+            unresolved[len(unresolved)] = members
+        else:
+            results[members[0]] = execute_spec(specs[members[0]], in_pool=in_pool)
+
+    while unresolved:
+        rep_family: dict[int, int] = {}
+        for family, members in unresolved.items():
             pairs = [(i, sweepfold.swept_values(specs[i])) for i in members]
             for i in sweepfold.pick_spread(pairs, FOLD_ROUND_REPS):
-                rep_family[i] = key
-                round_idx.append(i)
-        if not round_idx:
-            break
-        first_round = False
-
-        prepared = {i: prepare_app_run(specs[i]) for i in round_idx}
-        witnesses = {
-            i: sweepfold.install_witness(prepared[i].sim) for i in rep_family
-        }
-        BatchSimulator(
-            [prepared[i].sim for i in round_idx], metrics=global_metrics()
-        ).run()
-        for i in round_idx:
-            results[i] = finalize_result(
-                specs[i], finish_app_run(prepared[i]), in_pool=in_pool
-            )
+                rep_family[i] = family
+        witnesses = {i: simulate(i) for i in rep_family}
 
         # Fold: each representative's witness interval resolves every
         # still-unresolved family member it covers.
-        for i, key in rep_family.items():
-            unresolved[key].remove(i)
+        for i, family in rep_family.items():
+            unresolved[family].remove(i)
         folded = 0
-        for i, key in rep_family.items():
-            witness = witnesses.get(i)
+        for i, family in rep_family.items():
+            witness = witnesses[i]
             if witness is None:
                 continue
-            members = unresolved[key]
+            members = unresolved[family]
             covered = [
-                j
-                for j in members
-                if j not in rep_family
-                and witness.covers(*sweepfold.swept_values(specs[j]))
+                j for j in members
+                if witness.covers(*sweepfold.swept_values(specs[j]))
             ]
             for j in covered:
                 results[j] = sweepfold.clone_result(results[i], specs[j])
                 members.remove(j)
             folded += len(covered)
-        if rep_family:
-            metrics.counter("engine.batch.fold.representatives").inc(
-                len(rep_family)
-            )
+        metrics.counter("engine.batch.fold.representatives").inc(
+            len(rep_family)
+        )
         if folded:
             metrics.counter("engine.batch.fold.folded").inc(folded)
         unresolved = {k: v for k, v in unresolved.items() if v}
 
+    metrics.counter("engine.batch.lanes").inc(len(specs))
     return results  # type: ignore[return-value]

@@ -8,13 +8,13 @@ in :class:`~repro.runner.batch.BatchRunner` also runs distributed
 sweeps through :class:`repro.dist.DistExecutor` without knowing it.
 
 A *group* is what the runner hands an executor in one ``submit`` call:
-either a single :class:`~repro.runner.spec.RunSpec` or a whole lockstep
-cohort (compatible specs advanced together by one
-:class:`~repro.sim.batchengine.BatchSimulator`).  Cohorts are the unit
-of distribution on purpose: splitting a fold family across executors
-forfeits the witness-certified sweep folding that makes cohorts fast,
-so an executor always receives — and a remote worker always executes —
-the whole group.
+either a single :class:`~repro.runner.spec.RunSpec` or a whole fold
+group (governor-sweep variants that
+:func:`repro.runner.cohort.execute_cohort` resolves by simulating
+witness-certified representatives).  Fold groups are the unit of
+distribution on purpose: splitting a family across executors forfeits
+the sweep folding, so an executor always receives — and a remote
+worker always executes — the whole group.
 
 Executor contract:
 
@@ -23,10 +23,10 @@ Executor contract:
   and returns every completion ready at that moment (``[]`` only when
   nothing is outstanding);
 - a completion carries either ``payload`` (a :class:`RunResult` for a
-  single spec, a list for a cohort) or ``error``; ``worker_died`` marks
-  failures where the executing process vanished rather than raised —
-  the runner charges those one attempt and may resubmit, exactly like
-  the historical ``BrokenProcessPool`` recovery;
+  single spec, a list for a fold group) or ``error``; ``worker_died``
+  marks failures where the executing process vanished rather than
+  raised — the runner charges those one attempt and may resubmit,
+  exactly like the historical ``BrokenProcessPool`` recovery;
 - ``transported`` tells the runner whether results crossed a process
   boundary (drives transport accounting and shm rehydration).
 
@@ -70,9 +70,9 @@ def _worker_init() -> None:
 def _alarmed(fn, timeout_s: Optional[float], label: str):
     """Run ``fn()`` under an optional in-process ``SIGALRM`` timeout.
 
-    Module-level machinery shared by single-spec and cohort jobs.  The
-    alarm is only armed in a main thread (workers always are); elsewhere
-    the job runs untimed rather than failing.
+    Module-level machinery shared by single-spec and fold-group jobs.
+    The alarm is only armed in a main thread (workers always are);
+    elsewhere the job runs untimed rather than failing.
 
     Handler hygiene: the previous ``SIGALRM`` disposition is restored
     and the itimer cancelled on **every** exit path — success, job
@@ -116,12 +116,12 @@ def _execute_job(
 def _execute_cohort_job(
     specs: list[RunSpec], timeout_s: Optional[float], in_pool: bool = False
 ) -> list[RunResult]:
-    """Execute one lockstep cohort, budgeted at ``timeout_s`` per member.
+    """Execute one fold group, budgeted at ``timeout_s`` per member.
 
-    The cohort does the work of ``len(specs)`` jobs in one process, so
-    its wall-clock budget scales with its size; on timeout (or any
-    other failure) the caller falls back to per-run execution, where
-    each member gets its own ordinary budget.
+    The group does at most the work of ``len(specs)`` jobs in one
+    process, so its wall-clock budget scales with its size; on timeout
+    (or any other failure) the caller falls back to per-run execution,
+    where each member gets its own ordinary budget.
     """
     from repro.runner.cohort import execute_cohort
 
@@ -136,7 +136,7 @@ class Completion:
 
     token: int
     #: ``RunResult`` for a single-spec group, ``list[RunResult]`` for a
-    #: cohort; ``None`` when ``error`` is set.
+    #: fold group; ``None`` when ``error`` is set.
     payload: object = None
     error: Optional[BaseException] = None
     #: The executing process/worker vanished (crash, kill, lost
@@ -148,8 +148,6 @@ class Completion:
 class Executor:
     """Base class of the runner's execution backends."""
 
-    #: Whether cohort (multi-spec) groups may be submitted whole.
-    supports_cohorts = True
     #: Whether results cross a process boundary on their way back (the
     #: runner then does transport accounting + shm rehydration).
     transported = True

@@ -159,13 +159,13 @@ class RunSpec:
             scalars/reductions should declare ``"none"`` (nothing but a
             few hundred bytes crosses the pool); ``"rle"`` keeps the
             trace addressable at run-length cost.
-        batch_group: explicit lockstep-cohort partition key.  Specs are
-            only co-scheduled in one :class:`repro.sim.batchengine.
-            BatchSimulator` cohort when their implicit compatibility key
-            *and* this value match; ``None`` (default) lets compatible
-            specs group freely.  Results are bit-identical either way —
-            the key only controls co-execution, so it is *not* part of
-            the cache identity (see :meth:`manifest`).
+        batch_group: explicit fold-group partition key.  Specs are
+            only folded together (see :mod:`repro.runner.cohort`) when
+            their fold key *and* this value match; ``None`` (default)
+            lets every governor-sweep variant of one simulation fold
+            freely.  Results are bit-identical either way — the key only
+            controls co-execution, so it is *not* part of the cache
+            identity (see :meth:`manifest`).
     """
 
     workload: str
@@ -216,7 +216,7 @@ class RunSpec:
             manifest["reductions"] = list(self.reductions)
         if self.trace_policy != "full":
             manifest["trace_policy"] = self.trace_policy
-        # batch_group is deliberately absent: lockstep co-execution is
+        # batch_group is deliberately absent: folded execution is
         # bit-exact, so grouping must not fragment the result cache.
         return manifest
 
@@ -416,10 +416,9 @@ class PreparedAppRun:
     """An installed-but-unrun app simulation (the first half of a run).
 
     Splitting :func:`_run_app_kind` at the ``sim.run()`` call lets the
-    lockstep cohort executor (:mod:`repro.runner.cohort`) prepare many
-    compatible specs, advance their simulators together in one
-    :class:`repro.sim.batchengine.BatchSimulator`, and then finish each
-    one exactly as a solo run would have.
+    fold-group executor (:mod:`repro.runner.cohort`) attach a sweep
+    witness to the simulator before it runs, and then finish the run
+    exactly as a solo run would have.
     """
 
     spec: RunSpec

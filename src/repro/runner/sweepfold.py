@@ -11,23 +11,24 @@ The interactive governor has exactly two such parameters:
 - ``GovernorParams.hold_ms`` is read only at the
   ``ticks_since_raise < hold_ms`` test guarded by the former.
 
-Every frequency decision in both engines flows through that one
-function (the per-tick window close, the idle/busy fast-forward
-replays, and the batch engine's object-side governor tick), so a
-:class:`SweepWitness` attached there sees *every* read of the two
-parameters a run performs.  The witness maintains the interval of
-alternative parameter values that would have resolved every observed
-comparison identically; by induction over ticks, any variant inside
-the interval produces a byte-identical trace, metrics snapshot, and
-reductions — its result can be *copied* instead of simulated.
+Every frequency decision of the simulator flows through that one
+function (the per-tick window close and the idle/busy fast-forward
+replays), so a :class:`SweepWitness` attached there sees *every* read
+of the two parameters a run performs.  The witness maintains the
+interval of alternative parameter values that would have resolved
+every observed comparison identically; by induction over ticks, any
+variant inside the interval produces a byte-identical trace, metrics
+snapshot, and reductions — its result can be *copied* instead of
+simulated.
 
 :func:`repro.runner.cohort.execute_cohort` uses this to collapse
 governor sweeps: specs identical modulo the two axes form a *fold
-family*; representatives run (in lockstep cohorts), and each witness
-interval resolves every family member it covers for free.  Busy-span
-dry-run probes also report comparisons, which can only over-constrain
-the interval — folding degrades toward running more representatives,
-never toward wrong results.
+family*; representatives run one after another on the scalar engine,
+and each witness interval resolves every family member it covers for
+free.  Busy-span dry-run probes detach the witness: the decisions they
+revisit are recorded when the engine commits them, so leaving the
+probes out only keeps comparisons that never shape state from
+narrowing the interval.
 """
 
 from __future__ import annotations

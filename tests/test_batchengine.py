@@ -1,12 +1,12 @@
-"""Golden-trace equivalence tests for the batched lockstep engine.
+"""Golden-trace tests for the fold-group runner :mod:`repro.sim.batchengine`.
 
-The batch engine's one contract is bit-exactness: a lane advanced by
-:class:`repro.sim.batchengine.BatchSimulator` — solo, in a mixed
-cohort, observed, or evicted at an arbitrary tick — must leave the
-exact trace, task state, and result a reference ``sim.run()`` would
-have left.  Sweep folding (:mod:`repro.runner.sweepfold`) extends the
-same contract to variants that never run at all: a witness-certified
-copy must equal its own per-run execution byte for byte.
+:class:`repro.sim.batchengine.BatchSimulator` runs each simulator it is
+given to completion, in order, on the scalar engine.  Its contract is
+that it adds nothing to a run: every simulator it finishes — alone,
+beside others, observed, or under input boost — must leave the exact
+trace, task state, and event stream a plain ``sim.run()`` would have
+left, and :func:`repro.runner.cohort.execute_cohort` must count every
+spec it resolves under ``engine.batch.lanes``.
 """
 
 from dataclasses import replace
@@ -15,13 +15,12 @@ import numpy as np
 import pytest
 
 from repro.obs import Observation, event_to_dict
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import global_metrics
 from repro.platform.chip import CoreType
-from repro.runner import sweepfold
 from repro.runner.cohort import execute_cohort
-from repro.runner.spec import RunSpec, execute_spec
+from repro.runner.spec import RunSpec
 from repro.sched.params import baseline_config
-from repro.sim.batchengine import BatchSimulator, batching_enabled
+from repro.sim.batchengine import BatchSimulator
 from repro.sim.engine import SimConfig, Simulator
 from repro.workloads.mobile import MOBILE_APP_NAMES, make_app
 
@@ -72,7 +71,8 @@ class TestGoldenTraces:
         ref.run()
         sim, _ = _make_sim(app)
         (lane,) = BatchSimulator([sim]).run()
-        assert lane.status in ("retired", "evicted")
+        assert lane.sim is sim and lane.status == "retired"
+        assert sim.tick == sim.max_ticks
         _assert_identical(_signature(ref), _signature(sim), app)
 
     def test_mixed_cohort_matches_solo_references(self):
@@ -83,31 +83,19 @@ class TestGoldenTraces:
             ref.run()
             refs[app] = _signature(ref)
         sims = [_make_sim(app)[0] for app in apps]
-        BatchSimulator(sims).run()
+        lanes = BatchSimulator(sims).run()
+        assert [lane.sim for lane in lanes] == sims
+        assert all(lane.status == "retired" for lane in lanes)
         for app, sim in zip(apps, sims):
             _assert_identical(refs[app], _signature(sim), app)
 
-    def test_forced_mid_run_eviction_is_bit_exact(self):
-        ref, _ = _make_sim("pdf-reader")
-        ref.run()
-        golden = _signature(ref)
-        for tick in (0, 137, 500, ref.max_ticks - 1):
-            sim, _ = _make_sim("pdf-reader")
-            (lane,) = BatchSimulator([sim], force_evict_at={0: tick}).run()
-            assert lane.status == "evicted" and lane.cause == "forced"
-            _assert_identical(golden, _signature(sim), f"evict@{tick}")
-
     def test_observed_cohort_matches_observed_reference(self):
-        # Observation must not perturb the run, and the only stream
-        # difference a cohort may introduce is its own lifecycle
-        # (batch_cohort_*) plus fast-forward span shapes.
+        # Observation must not perturb the run, and running through the
+        # batch runner must not change the event stream.
         def stream(obs):
             out = []
             for event in obs.events:
                 d = event_to_dict(event)
-                kind = str(d.get("event", ""))
-                if kind.startswith("batch_cohort") or "fast_forward" in kind:
-                    continue
                 d.pop("tid", None)
                 out.append(d)
             return out
@@ -133,202 +121,29 @@ class TestGoldenTraces:
             BatchSimulator([sim]).run()
             _assert_identical(_signature(ref), _signature(sim), f"{app} boost")
 
-    def test_ineligible_lane_evicts_with_observable_cause(self):
-        sim, _ = _make_sim("pdf-reader")
-        sim.add_tick_hook(lambda s: None)
-        healthy, _ = _make_sim("bbench")
-        ref, _ = _make_sim("bbench")
-        ref.run()
-        lanes = BatchSimulator([sim, healthy]).run()
-        assert lanes[0].status == "evicted"
-        assert lanes[0].cause is not None
-        assert lanes[1].status == "retired"
-        # The evicted lane still completes correctly on the reference
-        # path, and the healthy lane is unaffected by its neighbour.
-        assert sim.tick == sim.max_ticks
-        _assert_identical(_signature(ref), _signature(healthy), "neighbour")
-
-    def test_env_pin_disables_batching(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_BATCHED", "0")
-        assert not batching_enabled()
-        monkeypatch.setenv("REPRO_ENGINE_BATCHED", "1")
-        assert batching_enabled()
-
     def test_metrics_account_every_lane(self):
-        registry = MetricsRegistry()
-        ineligible, _ = _make_sim("pdf-reader")
-        ineligible.add_tick_hook(lambda s: None)
-        sims = [ineligible] + [_make_sim(a)[0] for a in ("bbench", "browser")]
-        BatchSimulator(sims, force_evict_at={1: 200}, metrics=registry).run()
-        snap = registry.snapshot()
-        lanes = snap.counter("engine.batch.lanes")
-        retired = snap.counter("engine.batch.retired")
-        evicted = sum(
-            v for k, v in snap.counters.items()
-            if k.startswith("engine.batch.evictions.")
-        )
-        assert lanes == len(sims)
-        assert retired + evicted == lanes
-        assert evicted >= 2  # the hook eviction plus the forced one
-
-
-class TestEvictionProperty:
-    """Random eviction points must never change results."""
-
-    @pytest.fixture(scope="class")
-    def golden(self):
-        ref, _ = _make_sim("pdf-reader")
-        ref.run()
-        return ref.max_ticks, _signature(ref)
-
-    def test_random_eviction_points(self, golden):
-        hypothesis = pytest.importorskip("hypothesis")
-        from hypothesis import given, settings, strategies as st
-
-        max_ticks, signature = golden
-
-        @settings(max_examples=12, deadline=None)
-        @given(tick=st.integers(min_value=0, max_value=max_ticks))
-        def check(tick):
-            sim, _ = _make_sim("pdf-reader")
-            BatchSimulator([sim], force_evict_at={0: tick}).run()
-            _assert_identical(signature, _signature(sim), f"evict@{tick}")
-
-        check()
-
-
-class TestSweepWitness:
-    def test_down_threshold_interval(self):
-        w = sweepfold.SweepWitness()
-        w.note_down(0.30, True)   # 0.30 < dth held: dth must stay > 0.30
-        w.note_down(0.80, False)  # 0.80 >= dth held: dth must stay <= 0.80
-        assert w.covers(0.50, 80)
-        assert w.covers(0.80, 80)
-        assert not w.covers(0.30, 80)  # would flip the first comparison
-        assert not w.covers(0.81, 80)  # would flip the second
-
-    def test_hold_interval_is_integral(self):
-        w = sweepfold.SweepWitness()
-        w.note_hold(60, True)    # 60 < hold: hold must stay >= 61
-        w.note_hold(90, False)   # 90 >= hold: hold must stay <= 90
-        assert w.covers(0.5, 61)
-        assert w.covers(0.5, 90)
-        assert not w.covers(0.5, 60)
-        assert not w.covers(0.5, 91)
-
-    def test_unconstrained_witness_covers_everything(self):
-        w = sweepfold.SweepWitness()
-        assert w.covers(0.01, 0)
-        assert w.covers(0.99, 10_000)
-
-    def test_pick_spread_samples_extremes(self):
-        pairs = [(i, (0.5, 10 * i)) for i in range(20)]
-        picked = sweepfold.pick_spread(pairs, 4)
-        assert len(picked) == 4
-        assert picked[0] == 0 and picked[-1] == 19
-
-    def test_fold_key_separates_non_swept_parameters(self):
+        # engine.batch.lanes counts every spec execute_cohort resolves —
+        # simulated singles, fold representatives and folded copies alike.
         base = baseline_config()
-        def spec(**gov):
-            sched = replace(base, governor=replace(base.governor, **gov))
-            return RunSpec("browser", scheduler=sched, max_seconds=1.0)
 
-        a = sweepfold.fold_key(spec(hold_ms=40))
-        b = sweepfold.fold_key(spec(hold_ms=120, down_threshold=0.4))
-        c = sweepfold.fold_key(spec(hold_ms=40, target_load=0.8))
-        assert a == b          # swept axes are free
-        assert a != c          # arithmetic parameters are not
-        shm = replace(spec(hold_ms=40), trace_policy="shm")
-        assert sweepfold.fold_key(shm) is None
+        def spec(app, hold):
+            sched = replace(
+                base,
+                name=f"gov-h{hold}",
+                governor=replace(base.governor, hold_ms=hold),
+            )
+            return RunSpec(app, scheduler=sched, seed=SEED, max_seconds=0.5)
 
-
-class TestSweepFolding:
-    def _grid(self, holds, downs=(0.50,), seconds=1.0):
-        base = baseline_config()
-        specs = []
-        for down in downs:
-            for hold in holds:
-                sched = replace(
-                    base,
-                    name=f"gov-d{round(down * 100)}-h{hold}",
-                    governor=replace(
-                        base.governor, down_threshold=down, hold_ms=hold
-                    ),
-                )
-                specs.append(RunSpec(
-                    "pdf-reader", scheduler=sched, seed=SEED,
-                    max_seconds=seconds, reductions=("power_summary",),
-                    trace_policy="full",
-                ))
-        return specs
-
-    def _assert_results_equal(self, specs, ref, got):
-        for spec, a, b in zip(specs, ref, got):
-            assert b.spec_key == spec.key()
-            assert a.scalars() == b.scalars(), spec.scheduler.name
-            assert np.array_equal(
-                np.asarray(a.trace.power_mw), np.asarray(b.trace.power_mw)
-            ), spec.scheduler.name
-
-    def test_hold_sweep_folds_and_matches_per_run(self):
-        from repro.obs.metrics import global_metrics
-
-        specs = self._grid(holds=range(60, 108, 4))  # 12 variants
-        before = global_metrics().snapshot().counter("engine.batch.fold.folded")
-        ref = [execute_spec(s) for s in specs]
-        got = execute_cohort(specs)
-        folded = (
-            global_metrics().snapshot().counter("engine.batch.fold.folded")
-            - before
-        )
-        assert folded > 0, "a 4 ms-step hold sweep must fold"
-        self._assert_results_equal(specs, ref, got)
-
-    def test_two_axis_grid_matches_per_run(self):
-        specs = self._grid(holds=(70, 80, 90), downs=(0.49, 0.50, 0.51))
-        ref = [execute_spec(s) for s in specs]
-        got = execute_cohort(specs)
-        self._assert_results_equal(specs, ref, got)
-
-    def test_cloned_results_do_not_alias(self):
-        specs = self._grid(holds=(78, 80, 82))
-        got = execute_cohort(specs)
-        got[0].trace.power_mw[0] = -1.0
-        assert got[1].trace.power_mw[0] != -1.0
-        got[0].reductions["power_summary"]["_poison"] = True
-        assert "_poison" not in got[1].reductions["power_summary"]
-
-
-class TestCohortJobOrdering:
-    """BatchReport.jobs must keep submit order and stable labels even
-    when cohort grouping reorders execution."""
-
-    def _interleaved_specs(self):
-        base = baseline_config()
-        specs = []
-        for i in range(3):
-            for app in ("pdf-reader", "bbench"):
-                sched = replace(
-                    base,
-                    name=f"gov-hold-{60 + 10 * i}",
-                    governor=replace(base.governor, hold_ms=60 + 10 * i),
-                )
-                specs.append(RunSpec(
-                    app, scheduler=sched, seed=i, max_seconds=0.5,
-                    trace_policy="none",
-                ))
-        return specs
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_report_keeps_submit_order(self, workers):
-        from repro.runner import BatchRunner
-
-        specs = self._interleaved_specs()
-        report = BatchRunner(workers=workers, cohorts=True).run(specs)
-        report.raise_on_failure()
-        assert [j.index for j in report.jobs] == list(range(len(specs)))
-        assert [j.label for j in report.jobs] == [s.label() for s in specs]
-        for spec, result in zip(specs, report.results):
-            assert result is not None
-            assert result.spec_key == spec.key()
-            assert result.workload == spec.workload
+        specs = [spec("pdf-reader", hold) for hold in (40, 80, 120, 160)]
+        specs.append(spec("bbench", 80))
+        snap = global_metrics().snapshot
+        lanes0 = snap().counter("engine.batch.lanes")
+        reps0 = snap().counter("engine.batch.fold.representatives")
+        folded0 = snap().counter("engine.batch.fold.folded")
+        results = execute_cohort(specs)
+        assert [r.spec_key for r in results] == [s.key() for s in specs]
+        assert snap().counter("engine.batch.lanes") - lanes0 == len(specs)
+        reps = snap().counter("engine.batch.fold.representatives") - reps0
+        folded = snap().counter("engine.batch.fold.folded") - folded0
+        # The pdf-reader hold sweep is the one fold family.
+        assert reps + folded == 4
