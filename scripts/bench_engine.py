@@ -5,8 +5,9 @@ Runs a set of scenarios twice — once with ``fastpath=False`` (the
 reference tick-by-tick loop) and once with the fast path enabled — and
 reports wall-clock time, simulated ticks per second, and the speedup
 ratio for each.  Results go to stdout and, with ``--out``, to a JSON
-file (``BENCH_engine.json`` by convention; consumed by CI as a
-non-blocking trend artifact).
+file (``BENCH_engine.json`` by convention).  CI runs ``--quick`` and
+gates the fresh JSON against the committed one with
+``scripts/check_bench_regression.py``, a blocking step.
 
 Scenario families:
 
@@ -612,9 +613,9 @@ def bench_lake_query(quick: bool):
 def compare(rows, baseline_path: str) -> None:
     """Print per-scenario deltas against a previous results JSON.
 
-    Informational only (CI runs it non-blocking): wall-clock numbers
-    move with runner hardware, so the deltas are a trend signal, not a
-    gate.  Scenarios present on only one side are flagged rather than
+    Informational only (the blocking CI gate is
+    ``scripts/check_bench_regression.py``, not this): wall-clock numbers
+    move with runner hardware, so the deltas are a trend signal.  Scenarios present on only one side are flagged rather than
     failing.
     """
     try:

@@ -25,7 +25,6 @@ memory-bound work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.platform.cache import DRAM_PENALTY, memory_time_factor
 from repro.platform.coretypes import CoreSpec
@@ -122,25 +121,6 @@ def throughput_units_per_sec(
 ) -> float:
     """Sustained work units per second for ``core`` at ``freq_khz``."""
     return 1.0 / seconds_per_unit(core, freq_khz, work, dram_penalty, memory_contention)
-
-
-@lru_cache(maxsize=65536)
-def cached_throughput(
-    core: CoreSpec,
-    freq_khz: int,
-    work: WorkClass,
-    memory_contention: float = 1.0,
-) -> float:
-    """Memoized :func:`throughput_units_per_sec` for the engine's hot loop.
-
-    The argument tuple is discrete in practice — core specs and work
-    classes are frozen dataclasses, frequencies come from the OPP table,
-    and the contention multiplier takes one value per busy-core count —
-    so the water-filling loop collapses to dictionary lookups.
-    """
-    return throughput_units_per_sec(
-        core, freq_khz, work, memory_contention=memory_contention
-    )
 
 
 def speedup(

@@ -13,7 +13,6 @@ from typing import Optional
 
 from repro.obs.events import EventBus, TaskMigrated
 from repro.sim.core import SimCore
-from repro.sim.task import TaskState
 
 
 def counts_balanced(cores: list[SimCore]) -> bool:
@@ -26,8 +25,14 @@ def counts_balanced(cores: list[SimCore]) -> bool:
     """
     if len(cores) < 2:
         return True
-    counts = [c.nr_running() for c in cores]
-    return max(counts) - min(counts) < 2
+    lo = hi = len(cores[0].runqueue)  # nr_running(), without the call
+    for core in cores:
+        n = len(core.runqueue)
+        if n < lo:
+            lo = n
+        elif n > hi:
+            hi = n
+    return hi - lo < 2
 
 
 def least_loaded(cores: list[SimCore]) -> SimCore:
@@ -65,10 +70,9 @@ def balance_cluster(
         dst = least_loaded(cores)
         if src.nr_running() - dst.nr_running() < 2:
             break
-        candidates = [t for t in src.runqueue if t.state is TaskState.RUNNABLE]
-        # Move the lightest runnable task: it disturbs cache affinity the
-        # least and is what idle pull typically steals.
-        task = min(candidates, key=lambda t: (t.load.value, t.tid))
+        # Move the lightest queued (so runnable) task: it disturbs cache
+        # affinity the least and is what idle pull typically steals.
+        task = min(src.runqueue, key=lambda t: (t.load.value, t.tid))
         src.dequeue(task)
         dst.enqueue(task)
         if obs is not None:

@@ -194,16 +194,11 @@ class HMPScheduler:
             return 0
         moves = 0
         for big in self.big_cores:
-            if len(big.runqueue) < 2:  # nr_running() <= len(runqueue)
-                continue
             while big.nr_running() >= 2:
                 idle_little = least_loaded(self.little_cores)
                 if idle_little.nr_running() > 0:
                     return moves
-                candidates = [
-                    t for t in big.runqueue if t.state is TaskState.RUNNABLE
-                ]
-                task = min(candidates, key=lambda t: (t.load.value, t.tid))
+                task = min(big.runqueue, key=lambda t: (t.load.value, t.tid))
                 self._migrate(task, big, idle_little, "offload")
                 moves += 1
         return moves

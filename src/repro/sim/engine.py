@@ -4,7 +4,8 @@ Tick pipeline (1 ms per tick):
 
 1. resolve channel signals and sleep expirations; place woken tasks on
    cores via the HMP wake-placement rule;
-2. execute every enabled core for the tick (processor sharing);
+2. execute every core that has queued tasks for the tick (processor
+   sharing);
 3. update per-task load tracking (frequency-normalized samples; sleeping
    tasks are not updated — paper Algorithm 1);
 4. run the HMP migration and balancing pass;
@@ -39,6 +40,14 @@ without per-tick scheduler/governor/power work: loads advance through
 :meth:`Task.fastforward_steady`, and the trace through
 :meth:`Trace.record_block` — all bit-exact with the reference loop.
 
+**Stepped ticks.**  A tick that is not fast-forwarded costs what its
+busy cores cost.  Runqueues hold only RUNNABLE tasks (blocking and
+finishing dequeue at once), so a core with an empty runqueue at tick
+start has nothing to execute or sample: it gets ``begin_tick``'s reset
+and its idle/deep-idle bookkeeping inline, and runqueue counts are
+lengths.  The ``fastpath=False`` reference loop steps through the same
+``_step``.
+
 **Deferred power.**  For ticks that are stepped normally, power is not
 computed per tick when there is no thermal/GPU feedback: ``_record_tick``
 stages (busy, activity, idle-state) rows and
@@ -69,7 +78,6 @@ from repro.obs.events import (
 from repro.platform.chip import ChipSpec, CoreConfig, exynos5422
 from repro.platform.coretypes import CoreType
 from repro.platform.gpu import GpuSpec
-from repro.platform.perfmodel import cached_throughput
 from repro.platform.power import DeferredPowerPipeline
 from repro.platform.thermal import ThermalModel, ThermalParams
 from repro.sim.gpu import GpuDevice
@@ -188,6 +196,14 @@ class Simulator:
             }
         for core_type, governor in self.governors.items():
             governor.start(self.domains[core_type])
+        # Hoisted CoreType-keyed lookups: the stepped tick and the busy
+        # probe walk these instead of hashing the enum every tick.
+        self._dom_little = self.domains[CoreType.LITTLE]
+        self._dom_big = self.domains[CoreType.BIG]
+        self._governed = [
+            (core_type, governor, self.domains[core_type])
+            for core_type, governor in self.governors.items()
+        ]
 
         factory = config.scheduler_factory or HMPScheduler
         self.hmp = factory(self.cores, config.scheduler.hmp)
@@ -224,6 +240,11 @@ class Simulator:
         self._deep_entry_ticks = (
             self._pm.params.deep_idle_entry_ms / (self.tick_s * 1000.0)
         )
+        self._enabled_cores = [(i, c) for i, c in enumerate(self.cores) if c.enabled]
+        self._cluster_powers = [
+            self._pm.cluster_power_mw(ct, any(c.enabled for c in self.domains[ct].cores))
+            for ct in (CoreType.LITTLE, CoreType.BIG)
+        ]
 
         # Idle fast-forward: statically eligible only when every per-tick
         # side channel is provably inert while nothing is runnable.
@@ -543,8 +564,8 @@ class Simulator:
         start = self.tick
         pm = self._pm
         deep_entry = self._deep_entry_ticks
-        dom_little = self.domains[CoreType.LITTLE]
-        dom_big = self.domains[CoreType.BIG]
+        dom_little = self._dom_little
+        dom_big = self._dom_big
         freq_little = dom_little.freq_khz
         freq_big = dom_big.freq_khz
 
@@ -587,10 +608,7 @@ class Simulator:
             if 0 < crossing < n:
                 cuts.add(crossing)
 
-        cluster_powers = [
-            pm.cluster_power_mw(ct, any(c.enabled for c in self.domains[ct].cores))
-            for ct in (CoreType.LITTLE, CoreType.BIG)
-        ]
+        cluster_powers = self._cluster_powers
         little_changes = changes[CoreType.LITTLE]
         big_changes = changes[CoreType.BIG]
         i_little = i_big = 0
@@ -678,43 +696,41 @@ class Simulator:
         for chan in self._watched_channels:
             if chan.waiters and chan.permits >= chan.waiters[0][1]:
                 return 0, None
+        # Queued tasks are all runnable (runqueues hold nothing else).
         busy_cores = []
         for core in self.cores:
-            if not core.runqueue:
-                continue
-            if not core.enabled:
-                return 0, None
-            for task in core.runqueue:
-                if task.state is not TaskState.RUNNABLE:
+            if core.runqueue:
+                if not core.enabled:
                     return 0, None
-            busy_cores.append(core)
+                busy_cores.append(core)
         if not busy_cores:
             return 0, None
         chip = self.config.chip
         contention = chip.memory_contention(len(busy_cores))
         if contention != chip.memory_contention(self._busy_cores_prev):
             return 0, None
-        guard = self.hmp.busy_tick_guard()
-        if guard is None:
-            return 0, None
         tick_s = self.tick_s
         core_plans = []
         for core in busy_cores:
             n_rq = len(core.runqueue)
             share = tick_s / n_rq
+            # Throughput is monotone in frequency, so the max-OPP rate
+            # bounds the per-tick work decrement at any frequency the
+            # governor might pick inside the span.
+            tput_max = core.throughput_fn(core.max_freq_khz, contention)
             for task in core.runqueue:
-                # Throughput is monotone in frequency, so the max-OPP
-                # rate bounds the per-tick work decrement at any
-                # frequency the governor might pick inside the span.
-                tput_max = cached_throughput(
-                    core.spec, core.max_freq_khz, task.current_work_class, contention
-                )
-                dec_max = share * tput_max
+                dec_max = share * tput_max(task.current_work_class)
                 if dec_max <= 0.0:
                     return 0, None
                 horizon = min(horizon, int(task.remaining_units / dec_max) - 1)
             core_plans.append((core, n_rq, share))
         if horizon < _MIN_BUSY_FASTFORWARD_TICKS:
+            return 0, None
+        # The scheduler guard comes after the work-exhaustion bound: both
+        # are pure, so the order cannot change the outcome, and on
+        # interactive workloads short bursts end the probe at the bound.
+        guard = self.hmp.busy_tick_guard()
+        if guard is None:
             return 0, None
         # Each busy core accrues the same busy seconds every tick: the
         # water-filling fold of one share per queued task.
@@ -728,9 +744,9 @@ class Simulator:
             CoreType.LITTLE: [],
             CoreType.BIG: [],
         }
-        for core_type, governor in self.governors.items():
+        for core_type, governor, domain in self._governed:
             span_changes = governor.busy_tick_span(
-                self.domains[core_type], horizon, tick_s, busy_by_core, commit=False
+                domain, horizon, tick_s, busy_by_core, commit=False
             )
             if span_changes is None:
                 return 0, None
@@ -837,8 +853,8 @@ class Simulator:
         pm = self._pm
         tick_s = self.tick_s
         deep_entry = self._deep_entry_ticks
-        dom_little = self.domains[CoreType.LITTLE]
-        dom_big = self.domains[CoreType.BIG]
+        dom_little = self._dom_little
+        dom_big = self._dom_big
         freq_little = dom_little.freq_khz
         freq_big = dom_big.freq_khz
 
@@ -899,12 +915,9 @@ class Simulator:
                     )
                     task.fastforward_steady(
                         share,
-                        cached_throughput(
-                            core.spec, khz, task.current_work_class, contention
-                        ),
+                        core.throughput_fn(khz, contention)(task.current_work_class),
                         seg_len,
                     )
-                task.runnable_at_tick_start = True
                 aw += share * task.current_activity_factor()
             core.busy_in_tick_s = busy_by_core[core.core_id]
             core.activity_weighted_s = aw
@@ -944,10 +957,7 @@ class Simulator:
             for core in self.cores
         ]
 
-        cluster_powers = [
-            pm.cluster_power_mw(ct, any(c.enabled for c in self.domains[ct].cores))
-            for ct in (CoreType.LITTLE, CoreType.BIG)
-        ]
+        cluster_powers = self._cluster_powers
         little_changes = changes[CoreType.LITTLE]
         big_changes = changes[CoreType.BIG]
         i_little = i_big = 0
@@ -1006,47 +1016,70 @@ class Simulator:
         self.busy_fastforward_ticks += n
 
     def _step(self) -> None:
+        """Advance one tick through the full pipeline (module docstring).
+
+        The cost follows the cores with work: only cores with queued
+        tasks at tick start begin, execute and sample load.  An idle
+        core gets ``begin_tick``'s reset inline, and only if it still
+        holds the last tick's participants (``nr_start == 0`` implies no
+        busy time and no participants).
+        """
         self._wakeups_this_tick = 0
         self._process_wakeups()
 
         # DRAM contention for this tick, from the previous tick's busy
         # core count (one-tick lag keeps the computation causal).
         contention = self.config.chip.memory_contention(self._busy_cores_prev)
+        stepped = []
         for core in self.cores:
-            core.begin_tick()
             core.memory_contention = contention
-        for core in self.cores:
-            core.execute_tick(self.tick_s, self)
+            if core.runqueue:
+                core.begin_tick()
+                stepped.append(core)
+            elif core.nr_start:
+                core.busy_in_tick_s = 0.0
+                core.activity_weighted_s = 0.0
+                core.tick_tasks = []
+                core.nr_start = 0
+        tick_s = self.tick_s
+        for core in stepped:
+            core.execute_tick(tick_s, self)
 
-        self._update_loads()
+        self._update_loads(stepped)
         for hook in self._tick_hooks:
             hook(self)
         self.hmp.tick(self.cores)
-        for core_type, governor in self.governors.items():
-            governor.tick(self.domains[core_type], self.tick, self.tick_s)
+        tick = self.tick
+        for _core_type, governor, domain in self._governed:
+            governor.tick(domain, tick, tick_s)
 
         self._record_tick()
         self.tick += 1
 
-    def _update_loads(self) -> None:
-        """Frequency-normalized per-task load samples (Algorithm 1 step 1)."""
-        for core in self.cores:
+    def _update_loads(self, stepped: list[SimCore]) -> None:
+        """Frequency-normalized per-task load samples (Algorithm 1 step 1).
+
+        ``stepped`` are the cores that began this tick with queued tasks;
+        every other core has no participants to sample.
+        """
+        tick_s = self.tick_s
+        for core in stepped:
             if not core.enabled:
                 continue
             freq_scale = core.freq_khz / core.max_freq_khz
-            n = max(1, core.nr_start)
+            n = core.nr_start
             for task in core.tick_tasks:
                 if task.state is TaskState.FINISHED:
                     continue
-                runnable_frac = min(1.0, task.busy_in_tick_s * n / self.tick_s)
+                runnable_frac = min(1.0, task.busy_in_tick_s * n / tick_s)
                 task.load.update(runnable_frac * freq_scale * LOAD_SCALE)
 
     def _record_tick(self) -> None:
         pm = self._pm
         deep_entry_ticks = self._deep_entry_ticks
         tick_s = self.tick_s
-        dom_little = self.domains[CoreType.LITTLE]
-        dom_big = self.domains[CoreType.BIG]
+        dom_little = self._dom_little
+        dom_big = self._dom_big
         dp = self._deferred
         if dp is not None:
             # Deferred power: record only the raw per-tick columns now
@@ -1054,20 +1087,24 @@ class Simulator:
             # the power inputs; DeferredPowerPipeline.flush backfills
             # the power columns vectorized, bit-exact with the scalar
             # path below.  Only reachable with thermal and GPU disabled.
-            busy = []
+            # busy_fraction and mean_activity_factor are inlined: an
+            # idle core records busy 0.0 and activity factor 1.0.
+            busy = [0.0] * len(self.cores)
             afs = []
             deeps = []
-            for core in self.cores:
-                frac = core.busy_fraction(tick_s) if core.enabled else 0.0
-                busy.append(frac)
-                if core.enabled:
-                    if frac <= 0.0:
-                        core.idle_ticks += 1
-                    else:
-                        core.idle_ticks = 0
-                    afs.append(core.mean_activity_factor())
-                    deeps.append(core.idle_ticks >= deep_entry_ticks)
-            self._busy_cores_prev = sum(1 for b in busy if b > 0.0)
+            n_busy = 0
+            for i, core in self._enabled_cores:
+                busy_s = core.busy_in_tick_s
+                if busy_s > 0.0:
+                    busy[i] = min(1.0, busy_s / tick_s)
+                    afs.append(core.activity_weighted_s / busy_s)
+                    core.idle_ticks = 0
+                    n_busy += 1
+                else:
+                    afs.append(1.0)
+                    core.idle_ticks += 1
+                deeps.append(core.idle_ticks >= deep_entry_ticks)
+            self._busy_cores_prev = n_busy
             self.trace.record(
                 busy,
                 dom_little.freq_khz,
@@ -1108,10 +1145,7 @@ class Simulator:
                     little_cpu_mw += core_mw
                 else:
                     big_cpu_mw += core_mw
-        cluster_powers = [
-            pm.cluster_power_mw(ct, any(c.enabled for c in self.domains[ct].cores))
-            for ct in (CoreType.LITTLE, CoreType.BIG)
-        ]
+        cluster_powers = self._cluster_powers
         self._busy_cores_prev = sum(1 for b in busy if b > 0.0)
         power = pm.system_power_mw(core_powers, cluster_powers)
         if self.gpu is not None:

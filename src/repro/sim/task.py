@@ -183,7 +183,6 @@ class Task:
 
         # Per-tick accounting, reset by the engine each tick.
         self.busy_in_tick_s = 0.0
-        self.runnable_at_tick_start = False
 
         # Lifetime accounting.
         self.total_busy_s = 0.0
